@@ -1,9 +1,18 @@
 """Exact minimum enclosing balls (Chebyshev centers) of finite Euclidean nets.
 
 The main solver is the incremental randomized move-to-front algorithm with
-explicit support-set maintenance; `cheb_oracle` re-derives the same ball by
-brute-force enumeration of candidate support subsets and exists purely to
-cross-check the solver. `cheb_1d` is the closed-form line case.
+explicit support-set maintenance (Welzl 1991). Each support set costs one
+Gram solve: `_circumball` returns the ball together with the barycentric
+weights of its center, and those weights certify that the center lies in
+the support's convex hull, with no second solve. Nets of two points and nets
+on the line skip the recursion: their ball is fixed by the lexicographic
+extremes (`cheb_1d`). Before the solve the coordinates are scaled by an
+exact power of two, so squared lengths neither overflow nor underflow and
+the result does not depend on the scale of the net. The seeded insertion
+orders are cached per (seed, attempt, size).
+
+`cheb_oracle` re-derives the same ball by brute-force enumeration of
+candidate support subsets and exists purely to cross-check the solver.
 """
 
 from __future__ import annotations
@@ -75,15 +84,22 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     return out
 
 
-def _circumball(pts: Sequence[tuple[float, ...]]) -> tuple[tuple[float, ...], float]:
-    """Smallest sphere through all of `pts` with center in their affine hull."""
+def _circumball(
+    pts: Sequence[tuple[float, ...]],
+) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
+    """Smallest sphere through all of `pts` with center in their affine hull.
+
+    Returns (center, radius, weights): `weights` are the barycentric
+    coordinates of the center with respect to `pts`, read off the same solve.
+    """
     k = len(pts)
     if k == 1:
-        return pts[0], 0.0
+        return pts[0], 0.0, (1.0,)
     if k == 2:
         a, b = pts
-        c = tuple((x + y) / 2.0 for x, y in zip(a, b))
-        return c, max(math.dist(c, a), math.dist(c, b))
+        # Halving first is exact for normal floats and keeps x + y from overflowing.
+        c = tuple(x / 2.0 + y / 2.0 for x, y in zip(a, b))
+        return c, max(math.dist(c, a), math.dist(c, b)), (0.5, 0.5)
     base = pts[0]
     dirs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
     m = k - 1
@@ -95,29 +111,34 @@ def _circumball(pts: Sequence[tuple[float, ...]]) -> tuple[tuple[float, ...], fl
         for t in range(len(center)):
             center[t] += coef * d[t]
     c = tuple(center)
-    return c, max(math.dist(c, p) for p in pts)
+    return c, max(math.dist(c, p) for p in pts), (1.0 - sum(lam), *lam)
 
 
 def _mtf(pts, order, boundary, dim):
     """Move-to-front Welzl recursion over point indices.
 
-    Returns (center, radius, support index tuple); `order` is permuted in
-    place so violators migrate toward the front.
+    Returns (center, radius, support index tuple, barycentric weights of the
+    center over the support); `order` is permuted in place so violators
+    migrate toward the front.
     """
-    if boundary:
-        center, radius = _circumball([pts[i] for i in boundary])
-        support = tuple(boundary)
+    if len(boundary) == 1:
+        center, radius, weights = pts[boundary[0]], 0.0, (1.0,)
+    elif boundary:
+        center, radius, weights = _circumball([pts[i] for i in boundary])
     else:
-        center, radius, support = None, -1.0, ()
+        center, radius, weights = None, -1.0, ()
+    support = tuple(boundary)
     if len(boundary) == dim + 1:
-        return center, radius, support
+        return center, radius, support, weights
+    limit = radius * (1.0 + _BALL_EPS)
     for i in range(len(order)):
         idx = order[i]
-        if center is None or math.dist(pts[idx], center) > radius * (1.0 + _BALL_EPS):
-            center, radius, support = _mtf(pts, order[:i], boundary + [idx], dim)
+        if center is None or math.dist(pts[idx], center) > limit:
+            center, radius, support, weights = _mtf(pts, order[:i], boundary + [idx], dim)
+            limit = radius * (1.0 + _BALL_EPS)
             order.pop(i)
             order.insert(0, idx)
-    return center, radius, support
+    return center, radius, support, weights
 
 
 def _affine_weights(pts: Sequence[tuple[float, ...]], target) -> list[float]:
@@ -134,9 +155,23 @@ def _affine_weights(pts: Sequence[tuple[float, ...]], target) -> list[float]:
     return [1.0 - sum(mu)] + mu
 
 
+def _unit_scaled(pts: Sequence[tuple[float, ...]]):
+    """`pts` times 2**-e, e the binary exponent of the largest absolute coordinate.
+
+    Returns (scaled points, e). The scaled coordinates are at most 1 in
+    absolute value, so Gram entries neither overflow nor underflow; scaling
+    by a power of two is exact, so results scale back with math.ldexp.
+    """
+    exp = math.frexp(max(max(map(abs, p)) for p in pts))[1]
+    if exp:
+        pts = [tuple(math.ldexp(c, -exp) for c in p) for p in pts]
+    return pts, exp
+
+
 def support_barycentric(result: ChebResult) -> list[float]:
     """Barycentric coordinates of the center with respect to the support."""
-    return _affine_weights([p.coords for p in result.support], result.center.coords)
+    pts, _ = _unit_scaled([result.center.coords] + [p.coords for p in result.support])
+    return _affine_weights(pts[1:], pts[0])
 
 
 def _certified_support(pts, center, radius, dim, scale):
@@ -163,52 +198,83 @@ def _certified_support(pts, center, radius, dim, scale):
     raise DegenerateInputError("no hull-certified support subset found")
 
 
-def _build_result(net: Net, center, radius, support_idx) -> ChebResult:
-    pts = [p.coords for p in net.points]
-    scale = max((max(abs(c) for c in p) for p in pts), default=1.0)
-    try:
-        weights = _affine_weights([pts[i] for i in support_idx], center)
-        hull_ok = min(weights) >= -1e-9
-    except DegenerateInputError:
-        hull_ok = False
-    if not hull_ok:
+def _build_result(net: Net, pts, center, radius, support_idx, weights, exp: int = 0) -> ChebResult:
+    """Result of a solve on `pts`, which are the net's coordinates times 2**-exp.
+
+    `weights` are the center's barycentric coordinates over the support; when
+    they leave the hull the support is re-picked from the on-sphere points.
+    """
+    if min(weights) < -1e-9:
+        scale = max(max(abs(c) for c in p) for p in pts)
         support_idx = _certified_support(pts, center, radius, net.dim, scale)
-    support = tuple(sorted((net.points[i] for i in support_idx), key=lambda p: p.coords))
+    if exp:
+        center = tuple(math.ldexp(c, exp) for c in center)
+        radius = math.ldexp(radius, exp)
+    support = tuple(net.points[i] for i in sorted(support_idx))
     return ChebResult(Point(center), radius, support)
+
+
+@functools.lru_cache(maxsize=64)
+def _insertion_order(seed: int, attempt: int, n: int) -> tuple[int, ...]:
+    """Seeded shuffle of range(n); cached because seeding a Random is slow."""
+    order = list(range(n))
+    random.Random(f"{seed}:{attempt}").shuffle(order)
+    return tuple(order)
 
 
 def cheb(net: Net, seed: int = 0) -> ChebResult:
     """Minimum enclosing ball of a net.
 
-    Deterministic for a fixed seed: the insertion order is a seeded shuffle
-    of the net's canonical point order. Near-singular intermediate support
-    solves trigger a reshuffled retry (at most 3) before giving up.
+    A singleton is its own ball. Two-point nets and nets on the line take
+    the closed form of `cheb_1d`, which equals the move-to-front result
+    bitwise. Every other net goes to the move-to-front solve (`_welzl`).
+    Deterministic for a fixed seed.
     """
-    pts = [p.coords for p in net.points]
-    if len(pts) == 1:
+    n = len(net)
+    if n == 1:
         return ChebResult(net.points[0], 0.0, (net.points[0],))
+    if n == 2 or net.dim == 1:
+        return cheb_1d(net)
+    return _welzl(net, seed)
+
+
+def _welzl(net: Net, seed: int) -> ChebResult:
+    """Move-to-front solve of a net of any size and dimension.
+
+    The solve runs on the coordinates scaled by an exact power of two
+    (`_unit_scaled`), so that it depends on neither the scale of the net nor
+    the floating-point range; the center and radius are scaled back exactly.
+    The insertion order is a seeded shuffle of the net's canonical point
+    order. Near-singular intermediate support solves trigger a reshuffled
+    retry (at most 3) before giving up.
+    """
+    pts, exp = _unit_scaled(net.coord_list())
     last_err = None
     for attempt in range(4):
-        order = list(range(len(pts)))
-        random.Random(f"{seed}:{attempt}").shuffle(order)
+        order = list(_insertion_order(seed, attempt, len(pts)))
         try:
-            center, radius, support_idx = _mtf(pts, order, [], net.dim)
+            center, radius, support_idx, weights = _mtf(pts, order, [], net.dim)
         except DegenerateInputError as err:
             last_err = err
             continue
-        return _build_result(net, center, radius, support_idx)
+        return _build_result(net, pts, center, radius, support_idx, weights, exp)
     raise DegenerateInputError(f"minimum enclosing ball solve failed: {last_err}")
 
 
 def cheb_1d(net: Net) -> ChebResult:
-    """Closed-form Chebyshev center on the line: midpoint of the extremes."""
-    if net.dim != 1:
-        raise DimensionError(f"cheb_1d requires dim 1, got {net.dim}")
+    """Closed-form Chebyshev center when the lexicographic extremes are the support.
+
+    That holds on the line and for any net of two points: the center is the
+    midpoint of the first and last point and the radius is half their
+    distance. `cheb` takes this branch for those nets.
+    """
+    if net.dim != 1 and len(net) != 2:
+        raise DimensionError(f"cheb_1d requires dim 1 or two points, got dim {net.dim}")
     pts = net.points
     lo, hi = pts[0], pts[-1]
     if lo.coords == hi.coords:
         return ChebResult(lo, 0.0, (lo,))
-    center, radius = _circumball([lo.coords, hi.coords])
+    center, radius, _ = _circumball([lo.coords, hi.coords])
     return ChebResult(Point(center), radius, (lo, hi))
 
 
@@ -261,10 +327,17 @@ def cheb_oracle(net: Net) -> ChebResult:
             continue
         i = int(np.argmin(np.where(covers, radii, np.inf)))
         if best is None or radii[i] < best[0]:
-            best = (float(radii[i]), tuple(centers[i].tolist()), tuple(idx[i].tolist()))
+            best = (
+                float(radii[i]),
+                tuple(centers[i].tolist()),
+                tuple(idx[i].tolist()),
+                lam[i, :, 0].tolist(),
+            )
     if best is None:
         raise DegenerateInputError("oracle found no covering candidate ball")
-    return _build_result(net, best[1], best[0], best[2])
+    radius, center, support_idx, lam = best
+    weights = (1.0 - sum(lam), *lam)
+    return _build_result(net, net.coord_list(), center, radius, support_idx, weights)
 
 
 def circumball_of_support(points: Sequence[Point]) -> tuple[Point, float]:
@@ -278,5 +351,5 @@ def circumball_of_support(points: Sequence[Point]) -> tuple[Point, float]:
         raise DegenerateInputError(
             f"{len(points)} points cannot be affinely independent in dim {points[0].dim}"
         )
-    center, radius = _circumball([p.coords for p in points])
+    center, radius, _ = _circumball([p.coords for p in points])
     return Point(center), radius

@@ -9,6 +9,7 @@ the "exactly N points" class must never depend on a tolerance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -25,10 +26,10 @@ class Point:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
-        if len(coords) < 1:
+        coords = tuple(map(float, self.coords))
+        if not coords:
             raise DimensionError("a point needs at least one coordinate")
-        if not all(math.isfinite(c) for c in coords):
+        if not all(map(math.isfinite, coords)):
             raise DomainError(f"non-finite coordinate in {coords}")
         object.__setattr__(self, "coords", coords)
 
@@ -44,6 +45,9 @@ def _as_point(p) -> Point:
     return p if isinstance(p, Point) else Point(tuple(p))
 
 
+_COORDS = operator.attrgetter("coords")
+
+
 @dataclass(frozen=True)
 class Net:
     """Unordered set of at most `capacity` pairwise-distinct points.
@@ -56,7 +60,7 @@ class Net:
     capacity: int = field(default=0)
 
     def __post_init__(self):
-        pts = tuple(sorted((_as_point(p) for p in self.points), key=lambda p: p.coords))
+        pts = tuple(sorted(map(_as_point, self.points), key=_COORDS))
         if not pts:
             raise DomainError("a net must contain at least one point")
         dim = pts[0].dim

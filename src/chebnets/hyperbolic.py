@@ -289,7 +289,11 @@ def minimax_center_search(pts: Sequence[HyperbolicPoint]) -> tuple[HyperbolicPoi
 
 
 def _newton_circumcenter(pts: Sequence[HyperbolicPoint]) -> HyperbolicPoint | None:
-    """Newton iteration on the two equidistance residuals in tangent coords."""
+    """Newton iteration on the two equidistance residuals in tangent coords.
+
+    None means Newton failed (singular Jacobian, divergence, or an iterate
+    the model cannot represent); the caller then falls back to enumeration.
+    """
     mean = (0.0, 0.0, 0.0)
     for p in pts:
         mean = _add(mean, p.coords)
@@ -304,17 +308,21 @@ def _newton_circumcenter(pts: Sequence[HyperbolicPoint]) -> HyperbolicPoint | No
 
     h = 1e-7
     for _ in range(_NEWTON_MAX_ITER):
-        f = residual(s)
-        if max(abs(f[0]), abs(f[1])) < _NEWTON_RESIDUAL:
-            return h_exp(base, _add(_scaled(e1, s[0]), _scaled(e2, s[1])))
-        jac = []
-        for j in range(2):
-            up = s[:]
-            dn = s[:]
-            up[j] += h
-            dn[j] -= h
-            fu, fd = residual(up), residual(dn)
-            jac.append(((fu[0] - fd[0]) / (2 * h), (fu[1] - fd[1]) / (2 * h)))
+        try:
+            f = residual(s)
+            if max(abs(f[0]), abs(f[1])) < _NEWTON_RESIDUAL:
+                return h_exp(base, _add(_scaled(e1, s[0]), _scaled(e2, s[1])))
+            jac = []
+            for j in range(2):
+                up = s[:]
+                dn = s[:]
+                up[j] += h
+                dn[j] -= h
+                fu, fd = residual(up), residual(dn)
+                jac.append(((fu[0] - fd[0]) / (2 * h), (fu[1] - fd[1]) / (2 * h)))
+        except ModelError:
+            # h_exp left the sheet (not timelike): the iterate ran off, Newton diverged.
+            return None
         det = jac[0][0] * jac[1][1] - jac[1][0] * jac[0][1]
         if abs(det) < 1e-18:
             return None

@@ -106,12 +106,11 @@ def default_epsilon(net: Net) -> float:
 
 def random_net(rng: np.random.Generator, size: int, dim: int, capacity: int = 0) -> Net:
     """Net with i.i.d. uniform [-1, 1] coordinates and exactly-distinct points."""
-    pts: list[tuple[float, ...]] = []
-    seen: set[tuple[float, ...]] = set()
-    while len(pts) < size:
+    # One block draw is the same stream as `size` draws of one point each.
+    pts = list(dict.fromkeys(map(tuple, rng.uniform(-1.0, 1.0, size=(size, dim)).tolist())))
+    while len(pts) < size:  # an exact repeat was drawn: skip it and draw on
         p = tuple(rng.uniform(-1.0, 1.0, size=dim).tolist())
-        if p not in seen:
-            seen.add(p)
+        if p not in pts:
             pts.append(p)
     return Net.of(pts, capacity or size)
 

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from chebnets.chebyshev import (
     ChebResult,
+    _affine_weights,
+    _circumball,
+    _welzl,
     cheb,
     cheb_1d,
     cheb_oracle,
@@ -95,13 +98,34 @@ def test_cheb_1d_examples():
 
 
 def test_cheb_1d_agrees_with_cheb_exactly():
+    # cheb answers these nets with cheb_1d; the move-to-front path must agree bitwise.
     rng = np.random.default_rng(11)
-    for _ in range(400):
-        net = random_net(rng, int(rng.integers(1, 9)), 1)
+    line_nets = [random_net(rng, int(rng.integers(1, 9)), 1) for _ in range(400)]
+    pair_nets = [random_net(rng, 2, dim) for dim in range(2, 6) for _ in range(100)]
+    for net in line_nets + pair_nets:
         fast = cheb_1d(net)
-        full = cheb(net)
+        full = _welzl(net, seed=0)
         assert fast.center == full.center
         assert fast.radius == full.radius
+        assert fast.support == full.support
+        assert cheb(net) == fast
+
+
+def test_circumball_weights_match_affine_weights():
+    # The weights from the circumball's own solve certify the hull in place of a second solve.
+    rng = np.random.default_rng(17)
+    sizes = set()
+    for _ in range(600):
+        dim = int(rng.integers(1, 6))
+        net = random_net(rng, int(rng.integers(1, 3 * dim + 4)), dim)
+        support = [p.coords for p in cheb(net).support]
+        sizes.add((len(support), dim))
+        center, _, weights = _circumball(support)
+        expected = _affine_weights(support, center)
+        assert len(weights) == len(support)
+        assert max(abs(a - b) for a, b in zip(weights, expected)) <= 1e-12
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+    assert {(k, dim) for dim in range(1, 6) for k in range(1, dim + 2)} <= sizes
 
 
 def test_oracle_agreement_random():
@@ -175,8 +199,9 @@ def test_cocircular_square_support():
 
 
 def test_cocircular_cluster_support_is_hull_certified():
-    # Three nearby arc points plus one across; a raw boundary triple from the
-    # near arc would put the center outside its hull.
+    # Three nearby arc points plus one across. The solver's own support
+    # already certifies the hull here: this net does not reach the
+    # _certified_support fallback.
     angles = [0.2, 0.3, 0.4, 0.3 + math.pi]
     net = Net.of([(math.cos(a), math.sin(a)) for a in angles])
     result = cheb(net)
@@ -211,3 +236,53 @@ def test_oracle_budget_guard():
     pts = [tuple(1.0 if i == j else 0.0 for j in range(7)) for i in range(7)]
     with pytest.raises(OracleBudgetError):
         cheb_oracle(Net.of(pts))
+
+
+def test_right_triangle_far_scale():
+    s = 1e200
+    result = cheb(Net.of([(0, 0), (s, 0), (0, s)]))
+    assert result.center == Point((s / 2, s / 2))
+    assert result.radius == pytest.approx(s / math.sqrt(2), rel=1e-15)
+    assert result.support == (Point((0, s)), Point((s, 0)))
+
+
+def test_closed_form_near_float_max():
+    result = cheb(Net.of([(1.5e308, 0.0), (1.6e308, 1.0)]))
+    assert result.center == Point((1.55e308, 0.5))
+    assert result.radius == pytest.approx((1.6e308 - 1.5e308) / 2, rel=1e-14)
+    assert cheb(Net.of([(-1.7e308,), (1.7e308,)])).center == Point((0.0,))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e300])
+def test_random_nets_at_extreme_scales(scale):
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        net = random_net(rng, 6, 3)
+        scaled = Net.of([tuple(c * scale for c in p.coords) for p in net])
+        result = cheb(scaled)
+        for p in scaled:
+            assert distance(result.center, p) <= result.radius * (1 + 1e-9)
+        assert len(result.support) <= 4
+        assert min(support_barycentric(result)) >= -1e-9
+        base = cheb(net)
+        assert result.radius / scale == pytest.approx(base.radius, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_power_of_two_scaling_is_exact(data):
+    dim = data.draw(st.integers(1, 4))
+    size = data.draw(st.integers(1, 7))
+    coord = st.floats(-100, 100, allow_nan=False).filter(lambda x: x == 0 or abs(x) >= 1e-6)
+    coords = data.draw(
+        st.lists(st.tuples(*([coord] * dim)), min_size=size, max_size=size, unique=True)
+    )
+    k = data.draw(st.integers(-900, 900))
+    net = Net.of(coords)
+    base = cheb(net)
+    scaled = cheb(Net.of([tuple(math.ldexp(c, k) for c in p) for p in coords]))
+    assert scaled.center.coords == tuple(math.ldexp(c, k) for c in base.center.coords)
+    assert scaled.radius == math.ldexp(base.radius, k)
+    assert [p.coords for p in scaled.support] == [
+        tuple(math.ldexp(c, k) for c in p.coords) for p in base.support
+    ]

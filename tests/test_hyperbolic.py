@@ -147,6 +147,19 @@ def test_cheb3_fallback_matches_newton_path(monkeypatch):
     assert fallbacks  # some triples have a three-point support
 
 
+def test_cheb3_falls_back_when_newton_leaves_the_model():
+    # Far from ORIGIN a Newton iterate is not timelike and h_exp raises ModelError.
+    pts = [
+        HyperbolicPoint((109919.91627438877, -23350.347466198273, -107411.12263623561)),
+        HyperbolicPoint((185896.08895300885, -39480.45013710212, -181655.30530099245)),
+        HyperbolicPoint((22185.06128721732, -4713.979907784374, -21678.453283077964)),
+    ]
+    _, oracle_radius = minimax_center_search(pts)
+    assert oracle_radius == pytest.approx(2.0512951912868553, abs=1e-12)
+    _, radius = h_cheb3(*pts)
+    assert abs(radius - oracle_radius) <= 1e-9
+
+
 def test_minimax_center_search_small_inputs():
     p = HyperbolicPoint.from_xy(0.4, -0.2)
     assert minimax_center_search([p]) == (p, 0.0)

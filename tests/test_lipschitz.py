@@ -128,3 +128,40 @@ def test_scale_equivariance_power_of_two():
                 assert scaled.ratio == 0
                 continue
             assert abs(scaled.ratio - base.ratio) <= 4 * math.ulp(max(1.0, base.ratio))
+
+
+def _random_net_per_point(rng, size, dim):
+    """Reference: one draw per point, skipping exact repeats."""
+    pts = []
+    while len(pts) < size:
+        p = tuple(rng.uniform(-1.0, 1.0, size=dim).tolist())
+        if p not in pts:
+            pts.append(p)
+    return Net.of(pts, size)
+
+
+def test_random_net_block_draw_matches_per_point_draws():
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size, dim in [(1, 1), (2, 3), (6, 2), (4, 5)]:
+            assert random_net(a, size, dim) == _random_net_per_point(b, size, dim)
+        assert a.random() == b.random()
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: serves fixed rows, in the order drawn."""
+
+    def __init__(self, rows):
+        self.rows = [list(r) for r in rows]
+
+    def uniform(self, low, high, size):
+        count = size[0] if isinstance(size, tuple) else 1
+        block, self.rows = self.rows[:count], self.rows[count:]
+        return np.array(block if isinstance(size, tuple) else block[0])
+
+
+def test_random_net_redraws_exact_repeats():
+    rows = [(0.5, 0.5), (-0.25, 0.0), (0.5, 0.5), (0.5, 0.5), (0.75, -1.0), (0.0, 0.0)]
+    net = random_net(_ScriptedRng(rows), 3, 2)
+    assert net == _random_net_per_point(_ScriptedRng(rows), 3, 2)
+    assert net == Net.of([(0.5, 0.5), (-0.25, 0.0), (0.75, -1.0)])
