@@ -2,7 +2,7 @@
 them, a Lobachevsky-plane kernel, and verifiers for the Lipschitz behaviour
 of the center map."""
 
-from .chebyshev import ChebResult, cheb, cheb_1d, cheb_oracle, circumball_of_support
+from .chebyshev import ChebResult, cheb, cheb_1d, cheb_oracle
 from .counterexamples import (
     lemma3_counterexample,
     lemma3_hyperbolic_counterexample,
@@ -18,21 +18,8 @@ from .errors import (
     OracleBudgetError,
     SamplingBudgetError,
 )
-from .geometry import (
-    Hyperplane,
-    Net,
-    Point,
-    Ray,
-    diameter,
-    distance,
-    midpoint,
-    net_from_json,
-    net_to_json,
-    point_to_net_distance,
-    project_to_hyperplane,
-    ray_point,
-)
-from .hausdorff import alpha, alpha_ball_contains
+from .geometry import Net, Point, diameter, distance, net_from_json, net_to_json
+from .hausdorff import alpha, hausdorff_distance
 from .hyperbolic import (
     ORIGIN,
     HyperbolicPoint,
@@ -41,7 +28,6 @@ from .hyperbolic import (
     h_cheb3,
     h_distance,
     h_midpoint,
-    hyperbolic_point_from_json,
     hyperbolic_point_to_json,
     minimax_center_search,
     right_triangle,

@@ -4,12 +4,13 @@ The main solver is the incremental randomized move-to-front algorithm with
 explicit support-set maintenance (Welzl 1991). Each support set costs one
 Gram solve: `_circumball` returns the ball together with the barycentric
 weights of its center, and those weights certify that the center lies in
-the support's convex hull, with no second solve. Nets of two points and nets
-on the line skip the recursion: their ball is fixed by the lexicographic
-extremes (`cheb_1d`). Before the solve the coordinates are scaled by an
-exact power of two, so squared lengths neither overflow nor underflow and
-the result does not depend on the scale of the net. The seeded insertion
-orders are cached per (seed, attempt, size).
+the support's convex hull, with no second solve. A support that fails the
+check is not repaired: the solve is retried on a reshuffled insertion
+order. Nets of two points and nets on the line skip the recursion: their
+ball is fixed by the lexicographic extremes (`cheb_1d`). Before the solve
+the coordinates are scaled by an exact power of two, so squared lengths
+neither overflow nor underflow and the result does not depend on the scale
+of the net. The seeded insertion orders are cached per (seed, attempt, size).
 
 `cheb_oracle` re-derives the same ball by brute-force enumeration of
 candidate support subsets and exists purely to cross-check the solver.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, OracleBudgetError
 from .geometry import Net, Point
-from .tolerances import TAU_RANK, geom_tol
+from .tolerances import TAU_GEOM, TAU_RANK, geom_tol
 
 # Multiplicative slack for the in-ball test inside the incremental solver.
 _BALL_EPS = 1e-12
@@ -174,39 +175,14 @@ def support_barycentric(result: ChebResult) -> list[float]:
     return _affine_weights(pts[1:], pts[0])
 
 
-def _certified_support(pts, center, radius, dim, scale):
-    """Pick a lexicographically-least support subset with the hull property.
+def _build_result(net: Net, center, radius, support_idx, weights, exp: int = 0) -> ChebResult:
+    """Result of a solve on the net's coordinates times 2**-exp.
 
-    Used when the raw boundary set from the solver does not certify
-    center-in-hull (only possible for degenerate, e.g. cocircular, inputs);
-    Caratheodory guarantees a valid subset of on-sphere points exists.
+    `weights` are the center's barycentric coordinates over the support; a
+    center outside the support's hull raises DegenerateInputError.
     """
-    tol = geom_tol(scale + radius)
-    boundary = sorted(i for i in range(len(pts)) if abs(math.dist(pts[i], center) - radius) <= tol)
-    for k in range(1, dim + 2):
-        for subset in itertools.combinations(boundary, k):
-            sub = [pts[i] for i in subset]
-            try:
-                weights = _affine_weights(sub, center)
-            except DegenerateInputError:
-                continue
-            if min(weights) < -1e-9:
-                continue
-            rebuilt = [sum(w * p[t] for w, p in zip(weights, sub)) for t in range(len(center))]
-            if math.dist(rebuilt, center) <= tol:
-                return subset
-    raise DegenerateInputError("no hull-certified support subset found")
-
-
-def _build_result(net: Net, pts, center, radius, support_idx, weights, exp: int = 0) -> ChebResult:
-    """Result of a solve on `pts`, which are the net's coordinates times 2**-exp.
-
-    `weights` are the center's barycentric coordinates over the support; when
-    they leave the hull the support is re-picked from the on-sphere points.
-    """
-    if min(weights) < -1e-9:
-        scale = max(max(abs(c) for c in p) for p in pts)
-        support_idx = _certified_support(pts, center, radius, net.dim, scale)
+    if min(weights) < -TAU_GEOM:
+        raise DegenerateInputError("support does not certify the center in its hull")
     if exp:
         center = tuple(math.ldexp(c, exp) for c in center)
         radius = math.ldexp(radius, exp)
@@ -245,8 +221,9 @@ def _welzl(net: Net, seed: int) -> ChebResult:
     (`_unit_scaled`), so that it depends on neither the scale of the net nor
     the floating-point range; the center and radius are scaled back exactly.
     The insertion order is a seeded shuffle of the net's canonical point
-    order. Near-singular intermediate support solves trigger a reshuffled
-    retry (at most 3) before giving up.
+    order. A near-singular support solve, or a final support whose weights
+    leave its hull (`_build_result`), triggers a reshuffled retry (at most 3)
+    before giving up.
     """
     pts, exp = _unit_scaled(net.coord_list())
     last_err = None
@@ -254,10 +231,9 @@ def _welzl(net: Net, seed: int) -> ChebResult:
         order = list(_insertion_order(seed, attempt, len(pts)))
         try:
             center, radius, support_idx, weights = _mtf(pts, order, [], net.dim)
+            return _build_result(net, center, radius, support_idx, weights, exp)
         except DegenerateInputError as err:
             last_err = err
-            continue
-        return _build_result(net, pts, center, radius, support_idx, weights, exp)
     raise DegenerateInputError(f"minimum enclosing ball solve failed: {last_err}")
 
 
@@ -291,8 +267,11 @@ def cheb_oracle(net: Net) -> ChebResult:
 
     Tries every subset of 2..dim+1 points, builds the smallest sphere having
     the subset on its boundary with center in the subset's affine hull, and
-    returns the smallest such ball that covers the whole net. Ties keep the
-    first candidate in (size, lexicographic) order. Independent of `cheb`.
+    returns the smallest such ball that covers the whole net and whose center
+    lies in the subset's convex hull (barycentric weights at least
+    -TAU_GEOM; by Caratheodory the minimum enclosing ball has such a
+    subset). Ties keep the first candidate in (size, lexicographic) order.
+    Independent of `cheb`.
     The subsets of one size are solved as a single batch of Gram systems;
     affinely dependent subsets (eigenvalue ratio at most TAU_RANK) are
     skipped.
@@ -319,10 +298,11 @@ def cheb_oracle(net: Net) -> ChebResult:
             continue
         idx, base, dirs = idx[ok], base[ok], dirs[ok]
         lam = np.linalg.solve(gram[ok], rhs[ok][..., None])
+        weights = np.concatenate([1.0 - lam.sum(axis=1), lam[..., 0]], axis=1)
         centers = base + (lam * dirs).sum(axis=1)
         radii = np.linalg.norm(pts[idx] - centers[:, None, :], axis=2).max(axis=1)
         reach = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=2).max(axis=1)
-        covers = reach <= radii + geom_tol(scale + radii)
+        covers = (weights.min(axis=1) >= -TAU_GEOM) & (reach <= radii + geom_tol(scale + radii))
         if not covers.any():
             continue
         i = int(np.argmin(np.where(covers, radii, np.inf)))
@@ -331,25 +311,9 @@ def cheb_oracle(net: Net) -> ChebResult:
                 float(radii[i]),
                 tuple(centers[i].tolist()),
                 tuple(idx[i].tolist()),
-                lam[i, :, 0].tolist(),
+                weights[i].tolist(),
             )
     if best is None:
         raise DegenerateInputError("oracle found no covering candidate ball")
-    radius, center, support_idx, lam = best
-    weights = (1.0 - sum(lam), *lam)
-    return _build_result(net, net.coord_list(), center, radius, support_idx, weights)
-
-
-def circumball_of_support(points: Sequence[Point]) -> tuple[Point, float]:
-    """Equidistant point in the affine hull of up to dim+1 independent points."""
-    if not points:
-        raise DegenerateInputError("empty support")
-    dims = {p.dim for p in points}
-    if len(dims) != 1:
-        raise DimensionError("support points have mismatched dimensions")
-    if len(points) > points[0].dim + 1:
-        raise DegenerateInputError(
-            f"{len(points)} points cannot be affinely independent in dim {points[0].dim}"
-        )
-    center, radius, _ = _circumball([p.coords for p in points])
-    return Point(center), radius
+    radius, center, support_idx, weights = best
+    return _build_result(net, center, radius, support_idx, weights)

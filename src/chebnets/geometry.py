@@ -1,4 +1,4 @@
-"""Euclidean points, nets, rays and hyperplanes plus the elementary operations.
+"""Euclidean points and nets, their distances and their JSON form.
 
 Points are plain value records; a net is an unordered finite set of distinct
 points, stored lexicographically sorted so net equality is canonical.
@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, DomainError
-from .tolerances import TAU_RANK
 
 
 @dataclass(frozen=True)
@@ -93,68 +92,11 @@ class Net:
         return [p.coords for p in self.points]
 
 
-@dataclass(frozen=True)
-class Ray:
-    """Ray from `vertex` through the distinct point `through`."""
-
-    vertex: Point
-    through: Point
-
-    def __post_init__(self):
-        if self.vertex.dim != self.through.dim:
-            raise DimensionError("ray endpoints have mismatched dimensions")
-        if self.vertex.coords == self.through.coords:
-            raise DegenerateInputError("ray vertex and through point coincide")
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Affine m-plane spanned by m+1 affinely independent points."""
-
-    spanning_points: tuple[Point, ...]
-
-    def __post_init__(self):
-        pts = tuple(_as_point(p) for p in self.spanning_points)
-        if not pts:
-            raise DomainError("a hyperplane needs at least one spanning point")
-        dim = pts[0].dim
-        if any(p.dim != dim for p in pts):
-            raise DimensionError("spanning points have mismatched dimensions")
-        if len(pts) > 1:
-            base = pts[0].array()
-            dirs = np.stack([p.array() - base for p in pts[1:]])
-            sv = np.linalg.svd(dirs, compute_uv=False)
-            if sv[-1] <= TAU_RANK * max(1.0, sv[0]):
-                raise DegenerateInputError("spanning points are affinely dependent")
-        object.__setattr__(self, "spanning_points", pts)
-
-    @property
-    def dim(self) -> int:
-        return self.spanning_points[0].dim
-
-
-def _check_dims(a: Point, b: Point) -> None:
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points of equal dimension."""
-    _check_dims(a, b)
+    if a.dim != b.dim:
+        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return math.dist(a.coords, b.coords)
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    """Componentwise mean; the unique Euclidean midpoint."""
-    _check_dims(a, b)
-    return Point(tuple((x + y) / 2.0 for x, y in zip(a.coords, b.coords)))
-
-
-def point_to_net_distance(x: Point, net: Net) -> float:
-    """Distance from a point to the nearest member of a net."""
-    if x.dim != net.dim:
-        raise DimensionError(f"dimension mismatch: {x.dim} vs {net.dim}")
-    return min(math.dist(x.coords, p.coords) for p in net.points)
 
 
 def diameter(net: Net) -> float:
@@ -167,31 +109,6 @@ def diameter(net: Net) -> float:
             if d > best:
                 best = d
     return best
-
-
-def ray_point(ray: Ray, t: float) -> Point:
-    """Point at arc length t >= 0 from the vertex along the ray."""
-    if t < 0:
-        raise DomainError(f"ray parameter must be nonnegative, got {t}")
-    if t == 0:
-        return ray.vertex
-    v = ray.vertex.coords
-    w = ray.through.coords
-    norm = math.dist(v, w)
-    return Point(tuple(vi + t * (wi - vi) / norm for vi, wi in zip(v, w)))
-
-
-def project_to_hyperplane(x: Point, plane: Hyperplane) -> Point:
-    """Orthogonal projection of x onto the affine span of the plane."""
-    if x.dim != plane.dim:
-        raise DimensionError(f"dimension mismatch: {x.dim} vs {plane.dim}")
-    pts = plane.spanning_points
-    base = pts[0].array()
-    if len(pts) == 1:
-        return pts[0]
-    dirs = np.stack([p.array() - base for p in pts[1:]])
-    coef, *_ = np.linalg.lstsq(dirs.T, x.array() - base, rcond=None)
-    return Point(tuple(base + dirs.T @ coef))
 
 
 def net_to_json(net: Net) -> dict:

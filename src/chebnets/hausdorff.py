@@ -1,4 +1,4 @@
-"""Hausdorff metric between finite point nets."""
+"""Hausdorff metric between finite point sets, for any point metric."""
 
 from __future__ import annotations
 
@@ -8,22 +8,21 @@ from .errors import DimensionError, DomainError
 from .geometry import Net
 
 
-def alpha(m: Net, t: Net) -> float:
-    """Hausdorff distance: worst nearest-neighbour distance over both nets.
+def hausdorff_distance(a, b, dist) -> float:
+    """Hausdorff distance of two finite sets under the point metric `dist`.
 
-    Plain O(|m|*|t|) double loop; nets are tiny here and clarity wins.
+    Worst nearest-neighbour distance over both directions; a plain
+    O(|a|*|b|) double loop, since the sets are tiny here and clarity wins.
     """
-    if m.dim != t.dim:
-        raise DimensionError(f"dimension mismatch: {m.dim} vs {t.dim}")
-    a = m.coord_list()
-    b = t.coord_list()
-    forward = max(min(math.dist(x, y) for y in b) for x in a)
-    backward = max(min(math.dist(x, y) for x in a) for y in b)
+    if not a or not b:
+        raise DomainError("Hausdorff distance needs non-empty sets")
+    forward = max(min(dist(x, y) for y in b) for x in a)
+    backward = max(min(dist(x, y) for x in a) for y in b)
     return max(forward, backward)
 
 
-def alpha_ball_contains(m: Net, z: Net, r: float) -> bool:
-    """Membership of z in the open Hausdorff ball of radius r around m."""
-    if r <= 0:
-        raise DomainError(f"ball radius must be positive, got {r}")
-    return alpha(m, z) < r
+def alpha(m: Net, t: Net) -> float:
+    """Hausdorff distance between two Euclidean nets."""
+    if m.dim != t.dim:
+        raise DimensionError(f"dimension mismatch: {m.dim} vs {t.dim}")
+    return hausdorff_distance(m.coord_list(), t.coord_list(), math.dist)

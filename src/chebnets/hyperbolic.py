@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, DomainError, ModelError
+from .errors import DegenerateInputError, DomainError, ModelError
+from .hausdorff import hausdorff_distance
 from .tolerances import TAU_ANGLE, TAU_RANK, geom_tol
 
 Vec3 = tuple[float, float, float]
@@ -369,32 +370,8 @@ def h_alpha(
     m: Iterable[HyperbolicPoint], t: Iterable[HyperbolicPoint]
 ) -> float:
     """Hausdorff distance between finite sets of hyperbolic points."""
-    ma, ta = list(m), list(t)
-    if not ma or not ta:
-        raise DomainError("Hausdorff distance needs non-empty sets")
-    forward = max(min(h_distance(x, y) for y in ta) for x in ma)
-    backward = max(min(h_distance(x, y) for x in ma) for y in ta)
-    return max(forward, backward)
+    return hausdorff_distance(list(m), list(t), h_distance)
 
 
 def hyperbolic_point_to_json(p: HyperbolicPoint) -> dict:
     return {"model": "hyperboloid", "coords": list(p.coords)}
-
-
-def hyperbolic_point_from_json(obj: dict) -> HyperbolicPoint:
-    """Parse a point, re-normalizing small off-sheet drift (< 1e-6)."""
-    if not isinstance(obj, dict):
-        raise DomainError("hyperbolic point document must be a JSON object")
-    if obj.get("model") != "hyperboloid":
-        raise DomainError(f"field 'model' must be 'hyperboloid', got {obj.get('model')!r}")
-    coords = obj.get("coords")
-    if not isinstance(coords, list) or len(coords) != 3:
-        raise DomainError("field 'coords' must be a list of three numbers")
-    if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in coords):
-        raise DomainError("field 'coords' contains a non-finite value")
-    if coords[0] <= 0:
-        raise ModelError(f"point is not on the upper sheet: x0 = {coords[0]}")
-    q = minkowski_inner(coords, coords)
-    if abs(q - 1.0) >= 1e-6:
-        raise ModelError(f"Minkowski norm {q} deviates from 1 by >= 1e-6; rejecting")
-    return HyperbolicPoint.on_sheet(coords)

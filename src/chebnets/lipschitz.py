@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -68,9 +70,21 @@ class NeighborhoodSpec:
         if self.sample_count < 1:
             raise DomainError("sample_count must be at least 1")
 
-    @classmethod
-    def with_default_epsilon(cls, base_net: Net, sample_count: int, seed: int) -> "NeighborhoodSpec":
-        return cls(base_net, default_epsilon(base_net), sample_count, seed)
+
+def worst_of(items: Iterable, ratio: Callable = attrgetter("ratio")) -> tuple[float, object]:
+    """Largest `ratio(item)` over `items` and the first item that reaches it.
+
+    The comparison is strict, so ties keep the earlier item. An empty
+    iterable gives (-1.0, None).
+    """
+    max_ratio = -1.0
+    worst = None
+    for item in items:
+        r = ratio(item)
+        if r > max_ratio:
+            max_ratio = r
+            worst = item
+    return max_ratio, worst
 
 
 def sample_pair(m: Net, z: Net, seed: int = 0) -> LipschitzSample:
@@ -153,14 +167,7 @@ def estimate_local_lipschitz(spec: NeighborhoodSpec) -> tuple[float, LipschitzSa
                 "perturbed nets could merge points"
             )
     rng = np.random.default_rng(spec.seed)
-    sup_ratio = -1.0
-    worst: LipschitzSample | None = None
-    for _ in range(spec.sample_count):
-        net_a = perturbed_net(rng, base, spec.epsilon)
-        net_b = perturbed_net(rng, base, spec.epsilon)
-        sample = sample_pair(net_a, net_b)
-        if sample.ratio > sup_ratio:
-            sup_ratio = sample.ratio
-            worst = sample
-    assert worst is not None
-    return sup_ratio, worst
+    return worst_of(
+        sample_pair(perturbed_net(rng, base, spec.epsilon), perturbed_net(rng, base, spec.epsilon))
+        for _ in range(spec.sample_count)
+    )

@@ -9,7 +9,6 @@ outcome: the bounds are theorems, so failures indicate solver bugs.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -17,30 +16,44 @@ from . import hausdorff
 from .chebyshev import cheb
 from .errors import DegenerateInputError, DomainError, SamplingBudgetError
 from .geometry import Net, Point, diameter, distance
-from .lipschitz import LemmaReport, LipschitzSample, random_net, sample_pair
+from .lipschitz import LemmaReport, LipschitzSample, random_net, sample_pair, worst_of
 from .tolerances import TAU_VERIFY, geom_tol
 
 _REJECTION_BUDGET = 1_000_000
 
-# Test hook: scaling the claimed bounds below 1 forces verifiers to fail,
-# exercising the CLI failure exit path. Leave unset in normal use.
-_BOUND_SCALE_ENV = "CHEBNETS_BOUND_SCALE"
 
-
-def _claimed(bound: float) -> float:
-    return bound * float(os.environ.get(_BOUND_SCALE_ENV, "1.0"))
-
-
-def _report(lemma_id, trials, max_ratio, bound, worst) -> LemmaReport:
-    claimed = _claimed(bound)
+def _report(lemma_id, trials, bound, worst) -> LemmaReport:
+    """Report of a run from its `(max_ratio, worst_sample)` pair."""
+    max_ratio, sample = worst
     return LemmaReport(
         lemma_id=lemma_id,
         trials=trials,
         max_ratio=max_ratio,
-        claimed_bound=claimed,
-        worst_sample=worst,
-        passed=max_ratio <= claimed + TAU_VERIFY,
+        claimed_bound=bound,
+        worst_sample=sample,
+        passed=max_ratio <= bound + TAU_VERIFY,
     )
+
+
+def _accepted(draw, trials: int, what: str):
+    """Yield `trials` accepted draws; `draw()` returns None for a rejected one.
+
+    Raises SamplingBudgetError when `_REJECTION_BUDGET` draws do not
+    produce `trials` accepted ones.
+    """
+    accepted = 0
+    for _ in range(_REJECTION_BUDGET):
+        if accepted == trials:
+            return
+        item = draw()
+        if item is None:
+            continue
+        accepted += 1
+        yield item
+    if accepted < trials:
+        raise SamplingBudgetError(
+            f"{what} sampler accepted {accepted}/{trials} pairs in {_REJECTION_BUDGET} draws"
+        )
 
 
 def verify_lemma1(trials: int, dim: int, seed: int = 0) -> LemmaReport:
@@ -54,18 +67,16 @@ def verify_lemma1(trials: int, dim: int, seed: int = 0) -> LemmaReport:
     if trials < 1 or dim < 1:
         raise DomainError("trials and dim must be positive")
     rng = np.random.default_rng(seed)
-    max_ratio = -1.0
-    worst = None
-    for _ in range(trials):
-        m = random_net(rng, 2, dim)
-        z = random_net(rng, 2, dim)
-        sample = sample_pair(m, z)
-        upper = sample.alpha_ab / (sample.cheb_displacement + (diameter(m) + diameter(z)) / 2.0)
-        ratio = max(sample.ratio, upper)
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = sample
-    return _report("L1", trials, max_ratio, 1.0, worst)
+    samples = (sample_pair(random_net(rng, 2, dim), random_net(rng, 2, dim)) for _ in range(trials))
+    return _report("L1", trials, 1.0, worst_of(samples, ratio=_lemma1_ratio))
+
+
+def _lemma1_ratio(sample: LipschitzSample) -> float:
+    """Larger side of the Lemma 1 sandwich, each side normalized to 1."""
+    upper = sample.alpha_ab / (
+        sample.cheb_displacement + (diameter(sample.net_a) + diameter(sample.net_b)) / 2.0
+    )
+    return max(sample.ratio, upper)
 
 
 def verify_lemma2(trials: int, n: int, seed: int = 0) -> LemmaReport:
@@ -73,16 +84,12 @@ def verify_lemma2(trials: int, n: int, seed: int = 0) -> LemmaReport:
     if trials < 1 or n < 1:
         raise DomainError("trials and n must be positive")
     rng = np.random.default_rng(seed)
-    max_ratio = -1.0
-    worst = None
-    for _ in range(trials):
-        m = random_net(rng, int(rng.integers(1, n + 1)), 1)
-        z = random_net(rng, int(rng.integers(1, n + 1)), 1)
-        sample = sample_pair(m, z)
-        if sample.ratio > max_ratio:
-            max_ratio = sample.ratio
-            worst = sample
-    return _report("L2", trials, max_ratio, 1.0, worst)
+
+    def line_net() -> Net:
+        return random_net(rng, int(rng.integers(1, n + 1)), 1)
+
+    samples = (sample_pair(line_net(), line_net()) for _ in range(trials))
+    return _report("L2", trials, 1.0, worst_of(samples))
 
 
 def _angle(at: Point, b: Point, c: Point) -> float:
@@ -139,29 +146,27 @@ def verify_lemma4(u: Point, v: Point, w: Point, extensions: int, seed: int = 0) 
         strata = [(t_w, t_w + 3.0 * span)]
 
     rng = np.random.default_rng(seed)
-    max_ratio = -1.0
-    worst = None
     m = Net((u, v, w), 3)
-    done = 0
-    stratum = 0
-    while done < extensions:
-        lo, hi = strata[stratum % len(strata)]
-        stratum += 1
-        lo = max(lo, t_w)
-        if hi <= lo:
-            continue
-        t_z = rng.uniform(lo, hi)
-        if t_z <= t_w:
-            continue
-        z = Point(tuple(a + t_z * d for a, d in zip(u.coords, unit)))
-        if z.coords == v.coords or z.coords == w.coords:
-            continue
-        sample = sample_pair(m, Net((u, v, z), 3))
-        if sample.ratio > max_ratio:
-            max_ratio = sample.ratio
-            worst = sample
-        done += 1
-    return _report("L4", extensions, max_ratio, bound, worst)
+
+    def samples():
+        done = 0
+        stratum = 0
+        while done < extensions:
+            lo, hi = strata[stratum % len(strata)]
+            stratum += 1
+            lo = max(lo, t_w)
+            if hi <= lo:
+                continue
+            t_z = rng.uniform(lo, hi)
+            if t_z <= t_w:
+                continue
+            z = Point(tuple(a + t_z * d for a, d in zip(u.coords, unit)))
+            if z.coords == v.coords or z.coords == w.coords:
+                continue
+            yield sample_pair(m, Net((u, v, z), 3))
+            done += 1
+
+    return _report("L4", extensions, bound, worst_of(samples()))
 
 
 def verify_lemma4_random(trials: int, dim: int, seed: int = 0, extensions_per_config: int = 100) -> LemmaReport:
@@ -173,22 +178,21 @@ def verify_lemma4_random(trials: int, dim: int, seed: int = 0, extensions_per_co
     if trials < 1 or dim < 1:
         raise DomainError("trials and dim must be positive")
     rng = np.random.default_rng(seed)
-    max_norm = -1.0
-    worst = None
-    done = 0
-    while done < trials:
-        batch = min(extensions_per_config, trials - done)
-        u, v, w = (Point(tuple(rng.uniform(-1, 1, size=dim).tolist())) for _ in range(3))
-        try:
-            report = verify_lemma4(u, v, w, batch, seed=int(rng.integers(2**32)))
-        except DegenerateInputError:
-            continue
-        norm = report.max_ratio / report.claimed_bound
-        if norm > max_norm:
-            max_norm = norm
-            worst = report.worst_sample
-        done += batch
-    return _report("L4", trials, max_norm, 1.0, worst)
+
+    def reports():
+        done = 0
+        while done < trials:
+            batch = min(extensions_per_config, trials - done)
+            u, v, w = (Point(tuple(rng.uniform(-1, 1, size=dim).tolist())) for _ in range(3))
+            try:
+                report = verify_lemma4(u, v, w, batch, seed=int(rng.integers(2**32)))
+            except DegenerateInputError:
+                continue
+            yield report
+            done += batch
+
+    max_norm, worst = worst_of(reports(), ratio=lambda r: r.max_ratio / r.claimed_bound)
+    return _report("L4", trials, 1.0, (max_norm, worst.worst_sample))
 
 
 def verify_statement1(trials: int, n: int, dim: int, seed: int = 0) -> LemmaReport:
@@ -204,12 +208,8 @@ def verify_statement1(trials: int, n: int, dim: int, seed: int = 0) -> LemmaRepo
         raise DomainError("n must be at least 3")
     bound = (1.0 + math.sqrt(5.0)) / 2.0 if n > 3 else math.sqrt(2.0)
     rng = np.random.default_rng(seed)
-    max_ratio = -1.0
-    worst = None
-    accepted = 0
-    for _ in range(_REJECTION_BUDGET):
-        if accepted == trials:
-            break
+
+    def draw() -> LipschitzSample | None:
         m = random_net(rng, n, 2)
         theta = rng.uniform(0.0, 2.0 * math.pi)
         shift = rng.uniform(1.0, 6.0)
@@ -222,19 +222,11 @@ def verify_statement1(trials: int, n: int, dim: int, seed: int = 0) -> LemmaRepo
         ball_z = cheb(z)
         gap = distance(ball_m.center, ball_z.center)
         if gap <= ball_m.radius + ball_z.radius + geom_tol(gap):
-            continue
-        accepted += 1
+            return None
         a = hausdorff.alpha(m, z)
-        disp = distance(ball_m.center, ball_z.center)
-        sample = LipschitzSample(m, z, a, disp, disp / a)
-        if sample.ratio > max_ratio:
-            max_ratio = sample.ratio
-            worst = sample
-    if accepted < trials:
-        raise SamplingBudgetError(
-            f"disjoint-ball sampler accepted {accepted}/{trials} pairs in {_REJECTION_BUDGET} draws"
-        )
-    return _report("S1", trials, max_ratio, bound, worst)
+        return LipschitzSample(m, z, a, gap, gap / a)
+
+    return _report("S1", trials, bound, worst_of(_accepted(draw, trials, "disjoint-ball")))
 
 
 def _cross2(o, a, b) -> float:
@@ -268,7 +260,7 @@ def _segment_intersection_only_at(seg1, seg2, shared, tol: float) -> bool:
 
 def _triangles_share_only(u, tri1, tri2, scale: float) -> bool:
     """Segment-intersection check that two triangles meet only at u."""
-    tol = 1e-9 * max(1.0, scale)
+    tol = geom_tol(scale)
     edges1 = [(tri1[i], tri1[(i + 1) % 3]) for i in range(3)]
     edges2 = [(tri2[i], tri2[(i + 1) % 3]) for i in range(3)]
     return all(
@@ -295,29 +287,13 @@ def verify_statement2(trials: int, dim: int, seed: int = 0, part: str = "i") -> 
     if part == "ii" and dim != 2:
         raise DomainError("shared-vertex bound is stated for the plane (dim 2)")
     rng = np.random.default_rng(seed)
-    max_ratio = -1.0
-    worst = None
-    accepted = 0
-    for _ in range(_REJECTION_BUDGET):
-        if accepted == trials:
-            break
-        if part == "i":
-            pair = _shared_edge_pair(rng, dim)
-        else:
-            pair = _shared_vertex_pair(rng)
-        if pair is None:
-            continue
-        m, z = pair
-        sample = sample_pair(m, z)
-        if sample.ratio > max_ratio:
-            max_ratio = sample.ratio
-            worst = sample
-        accepted += 1
-    if accepted < trials:
-        raise SamplingBudgetError(
-            f"hull-contact sampler accepted {accepted}/{trials} pairs in {_REJECTION_BUDGET} draws"
-        )
-    return _report("S2i" if part == "i" else "S2ii", trials, max_ratio, 1.0 if part == "i" else 2.0, worst)
+
+    def draw() -> LipschitzSample | None:
+        pair = _shared_edge_pair(rng, dim) if part == "i" else _shared_vertex_pair(rng)
+        return None if pair is None else sample_pair(*pair)
+
+    worst = worst_of(_accepted(draw, trials, "hull-contact"))
+    return _report("S2i" if part == "i" else "S2ii", trials, 1.0 if part == "i" else 2.0, worst)
 
 
 def _shared_edge_pair(rng: np.random.Generator, dim: int):

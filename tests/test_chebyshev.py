@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chebnets import chebyshev
 from chebnets.chebyshev import (
     ChebResult,
     _affine_weights,
@@ -13,11 +14,11 @@ from chebnets.chebyshev import (
     cheb,
     cheb_1d,
     cheb_oracle,
-    circumball_of_support,
     support_barycentric,
 )
 from chebnets.errors import DegenerateInputError, DimensionError, OracleBudgetError
 from chebnets.geometry import Net, Point, distance
+from chebnets.tolerances import TAU_GEOM, geom_tol
 
 
 def random_net(rng, size, dim):
@@ -211,22 +212,75 @@ def test_cocircular_cluster_support_is_hull_certified():
 
 
 def test_circumball_of_support_examples():
-    p = Point((2.0, 7.0))
-    center, radius = circumball_of_support([p])
-    assert center == p and radius == 0
-    center, radius = circumball_of_support([Point((0, 0)), Point((2, 0))])
-    assert center == Point((1, 0)) and radius == 1
+    center, radius, weights = _circumball([(2.0, 7.0)])
+    assert center == (2.0, 7.0) and radius == 0 and weights == (1.0,)
+    center, radius, weights = _circumball([(0.0, 0.0), (2.0, 0.0)])
+    assert center == (1.0, 0.0) and radius == 1 and weights == (0.5, 0.5)
     # Thales: right triangle with legs 3 and 4
-    center, radius = circumball_of_support([Point((0, 0)), Point((3, 0)), Point((0, 4))])
-    assert distance(center, Point((1.5, 2.0))) < 1e-12
+    center, radius, weights = _circumball([(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)])
+    assert math.dist(center, (1.5, 2.0)) < 1e-12
     assert radius == pytest.approx(2.5, abs=1e-12)
+    assert weights == pytest.approx((0.0, 0.5, 0.5), abs=1e-12)
 
 
 def test_circumball_rejects_degenerate():
     with pytest.raises(DegenerateInputError):
-        circumball_of_support([Point((0, 0)), Point((1, 0)), Point((2, 0))])
+        _circumball([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     with pytest.raises(DegenerateInputError):
-        circumball_of_support([Point((0, 0)), Point((1, 0)), Point((0, 1)), Point((1, 1))])
+        _circumball([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+
+
+# Twins 1e-9 apart: the move-to-front solve meets a near-singular support
+# on insertion orders 0 and 1 and succeeds on order 2.
+RETRY_NET = [
+    (-0.7221366417596049, 0.4075715385335956),
+    (0.6422061767892775, 0.9636566457435876),
+    (0.6875811247374535, -0.15178702911197428),
+    (-0.7221366430970021, 0.4075715375580128),
+    (0.6422061767675866, 0.9636566457783153),
+    (0.6875811239930929, -0.15178703039854874),
+]
+
+
+def test_reshuffle_retry_is_reached(monkeypatch):
+    attempts = []
+    insertion_order = chebyshev._insertion_order
+
+    def recording(seed, attempt, n):
+        attempts.append(attempt)
+        return insertion_order(seed, attempt, n)
+
+    monkeypatch.setattr(chebyshev, "_insertion_order", recording)
+    net = Net.of(RETRY_NET)
+    result = cheb(net)
+    assert max(attempts) >= 1
+    assert len(result.support) <= 3
+    assert min(support_barycentric(result)) >= -TAU_GEOM
+    for p in net:
+        assert distance(result.center, p) <= result.radius + geom_tol(result.radius)
+
+
+def test_support_outside_hull_is_rejected():
+    net = Net.of([(0.0, 0.0), (1.0, 0.0)])
+    with pytest.raises(DegenerateInputError):
+        chebyshev._build_result(net, (2.0, 0.0), 2.0, (0, 1), (-1.0, 2.0))
+
+
+def test_oracle_support_on_regular_polygons_is_hull_certified():
+    # Every vertex triple of a regular polygon is cocircular, so the first
+    # covering triple can have its center outside its hull; the oracle must
+    # pass over it to a certified one.
+    rng = np.random.default_rng(5)
+    for k in range(5, 13):
+        for _ in range(40):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            angles = [phi + 2.0 * math.pi * j / k for j in range(k)]
+            net = Net.of([(math.cos(a), math.sin(a)) for a in angles])
+            oracle = cheb_oracle(net)
+            assert min(support_barycentric(oracle)) >= -TAU_GEOM
+            fast = cheb(net)
+            assert abs(oracle.radius - fast.radius) <= 1e-12
+            assert distance(oracle.center, fast.center) <= 1e-12
 
 
 def test_oracle_budget_guard():
@@ -286,3 +340,35 @@ def test_power_of_two_scaling_is_exact(data):
     assert [p.coords for p in scaled.support] == [
         tuple(math.ldexp(c, k) for c in p.coords) for p in base.support
     ]
+
+
+def isometry(data, dim):
+    """Orthogonal matrix and translation from a Hypothesis-drawn seed."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q, rng.uniform(-100.0, 100.0, dim)
+
+
+def moved(coords, q, shift):
+    pts = [tuple((q @ np.asarray(c, dtype=float) + shift).tolist()) for c in coords]
+    assume(len(set(pts)) == len(pts))
+    return Net.of(pts)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_radius_invariant_under_isometry(data):
+    dim = data.draw(st.integers(2, 4))
+    size = data.draw(st.integers(1, 8))
+    coords = data.draw(
+        st.lists(
+            st.tuples(*([st.floats(-50, 50, allow_nan=False)] * dim)),
+            min_size=size,
+            max_size=size,
+            unique=True,
+        )
+    )
+    q, shift = isometry(data, dim)
+    image = moved(coords, q, shift)
+    scale = max(abs(c) for p in list(coords) + image.coord_list() for c in p)
+    assert abs(cheb(image).radius - cheb(Net.of(coords)).radius) <= geom_tol(scale)

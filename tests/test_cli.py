@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from chebnets import verifiers
 from chebnets.cli import RunConfig, main, run, suite_all
 from chebnets.geometry import net_from_json
 
@@ -51,7 +52,8 @@ def test_verify_pass_and_exit_codes(capsys):
 
 
 def test_verify_corrupted_constant_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("CHEBNETS_BOUND_SCALE", "0.25")
+    constant = verifiers.lemma4_constant
+    monkeypatch.setattr(verifiers, "lemma4_constant", lambda u, v, w: constant(u, v, w) / 4)
     assert main(["verify", "--lemma", "4", "--trials", "200", "--quiet"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False

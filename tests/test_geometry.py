@@ -1,25 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebnets.chebyshev import _circumball
 from chebnets.errors import DegenerateInputError, DimensionError, DomainError
-from chebnets.geometry import (
-    Hyperplane,
-    Net,
-    Point,
-    Ray,
-    diameter,
-    distance,
-    midpoint,
-    net_from_json,
-    net_to_json,
-    point_to_net_distance,
-    project_to_hyperplane,
-    ray_point,
-)
+from chebnets.geometry import Net, Point, diameter, distance, net_from_json, net_to_json
 
 coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -52,6 +39,11 @@ def test_distance_metric_axioms(pts):
     assert (distance(a, b) == 0) == (a.coords == b.coords)
 
 
+def midpoint(a: Point, b: Point) -> Point:
+    # The package's one Euclidean midpoint is the two-point circumball.
+    return Point(_circumball([a.coords, b.coords])[0])
+
+
 def test_midpoint_examples():
     assert midpoint(Point((0, 0)), Point((2, 0))) == Point((1, 0))
     assert midpoint(Point((1, 1)), Point((1, 1))) == Point((1, 1))
@@ -67,15 +59,6 @@ def test_midpoint_symmetric_and_equidistant(pts):
     tol = 1e-9 * max(1.0, half)
     assert abs(distance(a, m) - half) <= tol
     assert abs(distance(b, m) - half) <= tol
-
-
-def test_point_to_net_distance_examples():
-    z = Net.of([(1, 0), (5, 0)])
-    assert point_to_net_distance(Point((0, 0)), z) == 1
-    assert point_to_net_distance(Point((1, 0)), z) == 0
-    assert point_to_net_distance(Point((0, 0)), Net.of([(3, 4)])) == 5
-    with pytest.raises(DimensionError):
-        point_to_net_distance(Point((0,)), z)
 
 
 def test_diameter_examples():
@@ -96,47 +79,6 @@ def test_diameter_matches_pairwise_recomputation(pts):
         for q in pts
     )
     assert abs(diameter(net) - brute) <= 4 * math.ulp(max(1.0, brute))
-
-
-def test_ray_point():
-    r = Ray(Point((0, 0)), Point((1, 0)))
-    assert ray_point(r, 2) == Point((2, 0))
-    assert ray_point(r, 0) == r.vertex
-    diag = Ray(Point((1, 1)), Point((2, 2)))
-    p = ray_point(diag, math.sqrt(2))
-    assert distance(p, Point((2, 2))) < 1e-12
-    with pytest.raises(DomainError):
-        ray_point(r, -1)
-    with pytest.raises(DegenerateInputError):
-        Ray(Point((1, 1)), Point((1, 1)))
-
-
-def test_project_to_hyperplane_examples():
-    plane = Hyperplane((Point((0, 0, 0)), Point((1, 0, 0)), Point((0, 1, 0))))
-    assert distance(project_to_hyperplane(Point((0, 0, 1)), plane), Point((0, 0, 0))) < 1e-12
-    assert distance(project_to_hyperplane(Point((2, 3, 5)), plane), Point((2, 3, 0))) < 1e-12
-    inside = Point((0.25, 0.5, 0.0))
-    assert distance(project_to_hyperplane(inside, plane), inside) < 1e-12
-
-
-def test_projection_idempotent_and_orthogonal():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        pts = [Point(tuple(rng.uniform(-1, 1, 4))) for _ in range(3)]
-        plane = Hyperplane(tuple(pts))
-        x = Point(tuple(rng.uniform(-1, 1, 4)))
-        p = project_to_hyperplane(x, plane)
-        p2 = project_to_hyperplane(p, plane)
-        assert distance(p, p2) <= 1e-9
-        residual = x.array() - p.array()
-        for q in pts[1:]:
-            direction = q.array() - pts[0].array()
-            assert abs(residual @ direction) <= 1e-9 * max(1.0, np.linalg.norm(direction))
-
-
-def test_hyperplane_rejects_dependent_spanning_set():
-    with pytest.raises(DegenerateInputError):
-        Hyperplane((Point((0, 0)), Point((1, 1)), Point((2, 2))))
 
 
 def test_point_validation():

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebnets.errors import DimensionError, DomainError
 from chebnets.geometry import Net, Point, distance
-from chebnets.hausdorff import alpha, alpha_ball_contains
+from chebnets.hausdorff import alpha, hausdorff_distance
+from chebnets.tolerances import geom_tol
 
 coord = st.floats(-1e3, 1e3, allow_nan=False)
 
@@ -23,6 +24,14 @@ def test_examples():
     assert alpha(m, m) == 0
     assert alpha(Net.of([(0,)]), Net.of([(3,)])) == 3
     assert alpha(Net.of([(0,), (1,)]), Net.of([(0,), (2,)])) == 1
+
+
+def test_hausdorff_distance_takes_any_metric():
+    a, b = [(0.0,), (1.0,)], [(0.0,), (3.0,)]
+    assert hausdorff_distance(a, b, math.dist) == alpha(Net.of(a), Net.of(b)) == 2
+    assert hausdorff_distance(a, b, lambda x, y: (x[0] - y[0]) ** 2) == 4
+    with pytest.raises(DomainError):
+        hausdorff_distance([], b, math.dist)
 
 
 def test_dimension_mismatch():
@@ -66,13 +75,22 @@ def test_perturbing_one_point_moves_alpha_by_at_most_delta():
         assert abs(after - before) <= delta + 1e-12
 
 
-def test_alpha_ball_contains():
-    m = Net.of([(0,)])
-    z = Net.of([(3,)])
-    assert alpha_ball_contains(m, m, 0.5)
-    assert not alpha_ball_contains(m, z, 3.0)  # open ball excludes the boundary
-    assert alpha_ball_contains(m, z, 3.0001)
-    with pytest.raises(DomainError):
-        alpha_ball_contains(m, z, 0.0)
-    with pytest.raises(DomainError):
-        alpha_ball_contains(m, z, -1.0)
+@settings(deadline=None)
+@given(st.data())
+def test_alpha_invariant_under_isometry(data):
+    dim = data.draw(st.integers(2, 4))
+    point = st.tuples(*([st.floats(-50, 50, allow_nan=False)] * dim))
+    a = data.draw(st.lists(point, min_size=1, max_size=6, unique=True))
+    b = data.draw(st.lists(point, min_size=1, max_size=6, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    shift = rng.uniform(-100.0, 100.0, dim)
+
+    def moved(coords):
+        pts = [tuple((q @ np.asarray(c, dtype=float) + shift).tolist()) for c in coords]
+        assume(len(set(pts)) == len(pts))
+        return Net.of(pts)
+
+    ma, mb = moved(a), moved(b)
+    scale = max(abs(c) for p in a + b + ma.coord_list() + mb.coord_list() for c in p)
+    assert abs(alpha(ma, mb) - alpha(Net.of(a), Net.of(b))) <= geom_tol(scale)

@@ -14,7 +14,14 @@ from chebnets.lipschitz import (
     min_pairwise_distance,
     random_net,
     sample_pair,
+    worst_of,
 )
+
+
+def test_worst_of_keeps_first_of_ties():
+    items = [("a", 1.0), ("b", 3.0), ("c", 3.0), ("d", 2.0)]
+    assert worst_of(items, ratio=lambda item: item[1]) == (3.0, ("b", 3.0))
+    assert worst_of(iter([])) == (-1.0, None)
 
 
 def test_sample_pair_examples():
@@ -64,7 +71,7 @@ def test_default_epsilon_examples():
 
 def test_neighborhood_spec():
     net = Net.of([(0, 0), (4, 0)])
-    spec = NeighborhoodSpec.with_default_epsilon(net, 10, 0)
+    spec = NeighborhoodSpec(net, default_epsilon(net), 10, 0)
     assert spec.epsilon == min_pairwise_distance(net) / 8
     with pytest.raises(DomainError):
         NeighborhoodSpec(net, 0.0, 10, 0)
@@ -74,7 +81,7 @@ def test_neighborhood_spec():
 
 def test_estimate_two_net_bound():
     net = Net.of([(0.0, 0.0), (1.0, 0.0)])
-    sup, worst = estimate_local_lipschitz(NeighborhoodSpec.with_default_epsilon(net, 400, 3))
+    sup, worst = estimate_local_lipschitz(NeighborhoodSpec(net, default_epsilon(net), 400, 3))
     assert sup <= 1 + 1e-7
     assert worst.ratio == sup
 
@@ -87,8 +94,8 @@ def test_estimate_rejects_merging_epsilon():
 
 def test_estimate_monotone_in_sample_count():
     net = Net.of([(0.0, 0.0), (1.0, 0.0), (0.3, 0.9)])
-    spec_small = NeighborhoodSpec.with_default_epsilon(net, 150, 5)
-    spec_big = NeighborhoodSpec.with_default_epsilon(net, 300, 5)
+    spec_small = NeighborhoodSpec(net, default_epsilon(net), 150, 5)
+    spec_big = NeighborhoodSpec(net, default_epsilon(net), 300, 5)
     small, _ = estimate_local_lipschitz(spec_small)
     big, _ = estimate_local_lipschitz(spec_big)
     assert big >= small
@@ -96,7 +103,7 @@ def test_estimate_monotone_in_sample_count():
 
 def test_estimate_deterministic():
     net = Net.of([(0.0, 0.0), (1.0, 0.0), (0.3, 0.9)])
-    spec = NeighborhoodSpec.with_default_epsilon(net, 100, 12)
+    spec = NeighborhoodSpec(net, default_epsilon(net), 100, 12)
     a = estimate_local_lipschitz(spec)
     b = estimate_local_lipschitz(spec)
     assert a[0] == b[0]

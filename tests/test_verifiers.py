@@ -119,6 +119,12 @@ def test_verify_statement1_budget_error(monkeypatch):
         verify_statement1(10_000, 4, 2, seed=0)
 
 
+def test_verify_statement2_budget_error(monkeypatch):
+    monkeypatch.setattr(verifiers, "_REJECTION_BUDGET", 5)
+    with pytest.raises(SamplingBudgetError, match="hull-contact sampler accepted"):
+        verify_statement2(10_000, 2, seed=0, part="ii")
+
+
 def test_verify_statement2_quick():
     for dim in (2, 3):
         report = verify_statement2(400, dim, seed=6, part="i")
@@ -153,7 +159,9 @@ def test_shared_vertex_generator_contract():
 
 
 def test_corrupted_bound_fails(monkeypatch):
-    monkeypatch.setenv("CHEBNETS_BOUND_SCALE", "0.25")
-    report = verify_lemma2(200, 4, seed=1)
+    u, v, w = triangle_with_angle_at_u(math.pi / 3, reach=0.8)
+    constant = lemma4_constant(u, v, w)
+    monkeypatch.setattr(verifiers, "lemma4_constant", lambda *tri: constant / 4)
+    report = verify_lemma4(u, v, w, 200, seed=1)
     assert not report.passed
-    assert report.claimed_bound == 0.25
+    assert report.claimed_bound == constant / 4
