@@ -12,8 +12,14 @@ the coordinates are scaled by an exact power of two, so squared lengths
 neither overflow nor underflow and the result does not depend on the scale
 of the net. The seeded insertion orders are cached per (seed, attempt, size).
 
-`cheb_oracle` re-derives the same ball by brute-force enumeration of
-candidate support subsets and exists purely to cross-check the solver.
+The second engine enumerates candidate support subsets
+(`_enumerated_balls`), solving the subsets of one size for a whole batch of
+nets at once and sharing no code with the move-to-front solver.
+`cheb_oracle` runs it on a batch of one to cross-check that solver.
+`cheb_batch` runs it on the verifiers' trials, many nets of 3 to 6 points,
+and takes the closed form of `cheb_1d` for two-point nets and nets on the
+line. The verifiers only screen their trials with `cheb_batch`: the
+figures they report come from `cheb`.
 """
 
 from __future__ import annotations
@@ -29,10 +35,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, OracleBudgetError
 from .geometry import Net, Point
-from .tolerances import TAU_GEOM, TAU_RANK, geom_tol
-
-# Multiplicative slack for the in-ball test inside the incremental solver.
-_BALL_EPS = 1e-12
+from .tolerances import TAU_BALL, TAU_GEOM, TAU_RANK, geom_tol
 
 _ORACLE_MAX_POINTS = 12
 _ORACLE_MAX_DIM = 6
@@ -131,12 +134,12 @@ def _mtf(pts, order, boundary, dim):
     support = tuple(boundary)
     if len(boundary) == dim + 1:
         return center, radius, support, weights
-    limit = radius * (1.0 + _BALL_EPS)
+    limit = radius * (1.0 + TAU_BALL)
     for i in range(len(order)):
         idx = order[i]
         if center is None or math.dist(pts[idx], center) > limit:
             center, radius, support, weights = _mtf(pts, order[:i], boundary + [idx], dim)
-            limit = radius * (1.0 + _BALL_EPS)
+            limit = radius * (1.0 + TAU_BALL)
             order.pop(i)
             order.insert(0, idx)
     return center, radius, support, weights
@@ -262,19 +265,134 @@ def _subsets(n: int, k: int) -> np.ndarray:
     return idx
 
 
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, added in index order.
+
+    numpy adds fewer than 8 terms in this order too, so the result equals
+    `x.sum(axis=-1)` bitwise; the unrolled form avoids numpy's per-row
+    reduction loop, which is slow on axes of 1 to 6 terms.
+    """
+    out = x[..., 0].copy()
+    for t in range(1, x.shape[-1]):
+        out += x[..., t]
+    return out
+
+
+def _sq_dists(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distances from `center` (..., d) to the points `pts` (..., n, d).
+
+    Coordinates are added in index order, as `_sum_last` adds, one
+    coordinate at a time so that no (..., n, d) temporary is made.
+    """
+    out = np.square(pts[..., 0] - center[..., None, 0])
+    for t in range(1, pts.shape[-1]):
+        out += np.square(pts[..., t] - center[..., None, t])
+    return out
+
+
+def _enumerated_balls(pts: np.ndarray):
+    """Minimum enclosing ball of each net in a (K, n, d) batch, by enumeration.
+
+    Tries the subsets of 2, 3, ..., d+1 points in turn. A subset's candidate
+    is the smallest sphere having the subset on its boundary with center in
+    the subset's affine hull; it qualifies when it covers the whole net and
+    its center lies in the subset's convex hull (barycentric weights at
+    least -TAU_GEOM). A qualifying ball is the minimum enclosing ball, since
+    its center is a convex combination of the points on its sphere, and by
+    Caratheodory the minimum enclosing ball has such a subset; so a net is
+    done at the first size that has one. Of that size's qualifying balls it
+    keeps the one whose center is nearest to covering the net (smallest
+    distance to the farthest point), ties going to the first subset in
+    lexicographic order: with the coverage slack of geom_tol, a smaller
+    sphere that just misses a point (near-duplicate points) can qualify
+    too, and this picks the truly covering one. The subsets of one size
+    are solved for every open net as a single batch of Gram systems;
+    affinely dependent subsets (eigenvalue ratio at most TAU_RANK) are
+    skipped.
+
+    Returns (centers (K, d), radii (K,), support (K, m), weights (K, m)),
+    m = min(n, d + 1): the support indices are padded with -1 and their
+    weights with 0. A net with no qualifying candidate gets a NaN center and
+    an infinite radius.
+    """
+    count, n, dim = pts.shape
+    scale = np.abs(pts).max(axis=(1, 2))
+    width = min(n, dim + 1)
+    centers = np.full((count, dim), np.nan)
+    radii = np.full(count, np.inf)
+    support = np.full((count, width), -1, dtype=np.intp)
+    weights = np.zeros((count, width))
+    todo = np.arange(count)
+    for k in range(2, width + 1):
+        idx = _subsets(n, k)
+        nets = pts[todo]
+        sub = nets[:, idx]  # (open nets, subsets, k, dim)
+        base = sub[:, :, 0]
+        dirs = sub[:, :, 1:] - base[:, :, None, :]
+        gram = 2.0 * dirs @ dirs.swapaxes(-1, -2)
+        rhs = _sum_last(dirs * dirs)
+        ev = np.linalg.eigvalsh(gram)  # ascending; a Gram matrix is symmetric PSD
+        ok = ev[..., 0] > TAU_RANK * ev[..., -1]
+        if not ok.any():
+            continue
+        owner = todo[np.nonzero(ok)[0]]
+        base, dirs, sub = base[ok], dirs[ok], sub[ok]
+        lam = np.linalg.solve(gram[ok], rhs[ok][..., None])[..., 0]
+        w = np.concatenate([1.0 - _sum_last(lam)[:, None], lam], axis=1)
+        c = base + _sum_last((lam[:, :, None] * dirs).swapaxes(1, 2))
+        r = np.sqrt(_sq_dists(sub, c).max(axis=1))
+        every = np.full(ok.shape + (dim,), np.nan)  # the centers, one row per subset
+        every[ok] = c
+        reach = np.sqrt(_sq_dists(nets[:, None], every).max(axis=-1))[ok]
+        covers = (w.min(axis=1) >= -TAU_GEOM) & (reach <= r + geom_tol(scale[owner] + r))
+        cand = np.full(ok.shape, np.inf)
+        cand[ok] = np.where(covers, reach, np.inf)
+        first = cand.argmin(axis=1)  # first minimum in subset order
+        won = np.flatnonzero(np.isfinite(cand[np.arange(len(todo)), first]))
+        at = (np.cumsum(ok) - 1).reshape(ok.shape)[won, first[won]]  # index among the ok subsets
+        done = todo[won]
+        radii[done] = r[at]
+        centers[done] = c[at]
+        support[done, :k] = idx[first[won]]
+        weights[done, :k] = w[at]
+        todo = np.delete(todo, won)
+        if not todo.size:
+            break
+    return centers, radii, support, weights
+
+
+def cheb_batch(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (K, d) and radii (K,) of the minimum enclosing balls of K nets.
+
+    `pts` holds the nets as one (K, n, d) array; a net may repeat a point,
+    which leaves its ball unchanged. Nets on the line and two-point nets
+    take the closed form of `cheb_1d`, whose center (the midpoint of the
+    lexicographic extremes) it equals bitwise. Larger nets take the
+    support-subset enumeration that `cheb_oracle` runs (`_enumerated_balls`);
+    a net it cannot certify gets a NaN center. The verifiers screen their
+    trials with this kernel and re-measure the reported ones with `cheb`.
+    """
+    count, n, dim = pts.shape
+    if n == 1:
+        return pts[:, 0].copy(), np.zeros(count)
+    if dim == 1:
+        lo, hi = pts.min(axis=1), pts.max(axis=1)
+    elif n == 2:
+        lo, hi = pts[:, 0], pts[:, 1]
+    else:
+        centers, radii, _, _ = _enumerated_balls(pts)
+        return centers, radii
+    center = lo / 2.0 + hi / 2.0
+    radius = np.maximum(np.linalg.norm(center - lo, axis=1), np.linalg.norm(center - hi, axis=1))
+    return center, radius
+
+
 def cheb_oracle(net: Net) -> ChebResult:
     """Brute-force minimum enclosing ball by support-subset enumeration.
 
-    Tries every subset of 2..dim+1 points, builds the smallest sphere having
-    the subset on its boundary with center in the subset's affine hull, and
-    returns the smallest such ball that covers the whole net and whose center
-    lies in the subset's convex hull (barycentric weights at least
-    -TAU_GEOM; by Caratheodory the minimum enclosing ball has such a
-    subset). Ties keep the first candidate in (size, lexicographic) order.
-    Independent of `cheb`.
-    The subsets of one size are solved as a single batch of Gram systems;
-    affinely dependent subsets (eigenvalue ratio at most TAU_RANK) are
-    skipped.
+    The net is a batch of one for `_enumerated_balls`, which tries the
+    subsets of 2..dim+1 points by size and keeps a covering ball whose
+    center lies in its support's convex hull. Independent of `cheb`.
     """
     n = len(net)
     if n > _ORACLE_MAX_POINTS or net.dim > _ORACLE_MAX_DIM:
@@ -283,37 +401,14 @@ def cheb_oracle(net: Net) -> ChebResult:
         )
     if n == 1:
         return ChebResult(net.points[0], 0.0, (net.points[0],))
-    pts = np.array(net.coord_list())
-    scale = np.abs(pts).max()
-    best = None
-    for k in range(2, min(n, net.dim + 1) + 1):
-        idx = _subsets(n, k)
-        base = pts[idx[:, 0]]
-        dirs = pts[idx[:, 1:]] - base[:, None, :]
-        gram = 2.0 * dirs @ dirs.transpose(0, 2, 1)
-        rhs = (dirs * dirs).sum(axis=2)
-        ev = np.linalg.eigvalsh(gram)  # ascending; a Gram matrix is symmetric PSD
-        ok = ev[:, 0] > TAU_RANK * ev[:, -1]
-        if not ok.any():
-            continue
-        idx, base, dirs = idx[ok], base[ok], dirs[ok]
-        lam = np.linalg.solve(gram[ok], rhs[ok][..., None])
-        weights = np.concatenate([1.0 - lam.sum(axis=1), lam[..., 0]], axis=1)
-        centers = base + (lam * dirs).sum(axis=1)
-        radii = np.linalg.norm(pts[idx] - centers[:, None, :], axis=2).max(axis=1)
-        reach = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=2).max(axis=1)
-        covers = (weights.min(axis=1) >= -TAU_GEOM) & (reach <= radii + geom_tol(scale + radii))
-        if not covers.any():
-            continue
-        i = int(np.argmin(np.where(covers, radii, np.inf)))
-        if best is None or radii[i] < best[0]:
-            best = (
-                float(radii[i]),
-                tuple(centers[i].tolist()),
-                tuple(idx[i].tolist()),
-                weights[i].tolist(),
-            )
-    if best is None:
+    centers, radii, support, weights = _enumerated_balls(np.array(net.coord_list())[None])
+    if not np.isfinite(radii[0]):
         raise DegenerateInputError("oracle found no covering candidate ball")
-    radius, center, support_idx, weights = best
-    return _build_result(net, center, radius, support_idx, weights)
+    size = int((support[0] >= 0).sum())
+    return _build_result(
+        net,
+        tuple(centers[0].tolist()),
+        float(radii[0]),
+        tuple(support[0, :size].tolist()),
+        weights[0, :size].tolist(),
+    )

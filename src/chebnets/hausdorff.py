@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DimensionError, DomainError
 from .geometry import Net
 
@@ -26,3 +28,15 @@ def alpha(m: Net, t: Net) -> float:
     if m.dim != t.dim:
         raise DimensionError(f"dimension mismatch: {m.dim} vs {t.dim}")
     return hausdorff_distance(m.coord_list(), t.coord_list(), math.dist)
+
+
+def alpha_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hausdorff distances of K net pairs given as (K, n, d) and (K, m, d) arrays.
+
+    Either side may have K = 1, which pairs that net with every net of the
+    other side, and a net may repeat a point, which leaves its distances
+    unchanged. This is the broadcast form of `alpha` that the batch
+    verifiers screen with; it agrees with `alpha` up to rounding.
+    """
+    sq = ((a[:, :, None, :] - b[:, None, :, :]) ** 2).sum(axis=-1)
+    return np.sqrt(np.maximum(sq.min(axis=2).max(axis=1), sq.min(axis=1).max(axis=1)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ModelError
 from .hausdorff import hausdorff_distance
-from .tolerances import TAU_ANGLE, TAU_RANK, geom_tol
+from .tolerances import TAU_ANGLE, TAU_GEOM, TAU_RANK, geom_tol
 
 Vec3 = tuple[float, float, float]
 
@@ -47,7 +47,7 @@ class HyperbolicPoint:
         if c[0] <= 0:
             raise ModelError(f"point is not on the upper sheet: x0 = {c[0]}")
         q = minkowski_inner(c, c)
-        if abs(q - 1.0) > 1e-9 * max(1.0, c[0] * c[0]):
+        if abs(q - 1.0) > TAU_GEOM * max(1.0, c[0] * c[0]):
             raise ModelError(f"Minkowski norm {q} deviates from 1 beyond tolerance")
         object.__setattr__(self, "coords", c)
 

@@ -1,9 +1,23 @@
 """Randomized verifiers for the Lipschitz bounds of the center map.
 
-Each verifier draws trial net pairs, measures displacement/alpha ratios via
-the full solver pipeline, and reports the worst observed ratio against the
-claimed constant. A failing report is a reproduction case, not an expected
-outcome: the bounds are theorems, so failures indicate solver bugs.
+Each verifier draws trial net pairs and reports the worst displacement/alpha
+ratio against the claimed constant. A failing report is a reproduction
+case, not an expected outcome: the bounds are theorems, so failures
+indicate solver bugs.
+
+The trials run as one array pipeline. A verifier draws them as coordinate
+arrays, consuming its generator as one draw per trial would: the same
+doubles in the same order (`Draws`, `draw_trials`) and the same
+rejections, whose filters run on the arrays with the arithmetic of the
+per-trial checks. The batch then only screens: `cheb_batch` solves every
+net and alpha comes from broadcasting (`screen_pairs`). The trials whose
+screened ratio can reach the batch maximum within its error bound
+(`screen_error`: TAU_SCREEN relative, widened where alpha is small) are
+re-measured with the scalar `sample_pair` (`screened_worst`), and only
+they become `Net` objects, so the reported figures come from the full
+solver pipeline.
+A disjoint-ball rejection this close to its threshold is decided by `cheb`
+as well.
 """
 
 from __future__ import annotations
@@ -13,13 +27,34 @@ import math
 import numpy as np
 
 from . import hausdorff
-from .chebyshev import cheb
+from .chebyshev import _sum_last, cheb, cheb_batch
 from .errors import DegenerateInputError, DomainError, SamplingBudgetError
 from .geometry import Net, Point, diameter, distance
-from .lipschitz import LemmaReport, LipschitzSample, random_net, sample_pair, worst_of
-from .tolerances import TAU_VERIFY, geom_tol
+from .lipschitz import (
+    Draws,
+    LemmaReport,
+    LipschitzSample,
+    _has_repeat,
+    _net_points,
+    draw_trials,
+    sample_pair,
+    screen_error,
+    screen_pairs,
+    screen_ratios,
+    screened_worst,
+    worst_of,
+)
+from .tolerances import TAU_GEOM, TAU_SCREEN, TAU_SEGMENT, TAU_SIGN, TAU_VERIFY, geom_tol
 
 _REJECTION_BUDGET = 1_000_000
+
+# Draws per round of a rejection sampler; bounds the batch temporaries.
+_ROUND = 256
+
+# Shared-vertex sampler: side points lie this far beyond the splitting line.
+_SIDE_MARGIN = 0.05
+# Attempts per side point before the shared-vertex draw is rejected.
+_SIDE_ATTEMPTS = 64
 
 
 def _report(lemma_id, trials, bound, worst) -> LemmaReport:
@@ -35,25 +70,38 @@ def _report(lemma_id, trials, bound, worst) -> LemmaReport:
     )
 
 
-def _accepted(draw, trials: int, what: str):
-    """Yield `trials` accepted draws; `draw()` returns None for a rejected one.
+def _accepted(draw, trials: int, what: str) -> list[np.ndarray]:
+    """Arrays of the first `trials` accepted draws, in draw order.
 
-    Raises SamplingBudgetError when `_REJECTION_BUDGET` draws do not
-    produce `trials` accepted ones.
+    `draw(count)` makes `count` draws and returns their arrays (first axis
+    one row per draw) with the mask of accepted ones. Raises
+    SamplingBudgetError when `_REJECTION_BUDGET` draws do not produce
+    `trials` accepted ones.
     """
-    accepted = 0
-    for _ in range(_REJECTION_BUDGET):
-        if accepted == trials:
-            return
-        item = draw()
-        if item is None:
-            continue
-        accepted += 1
-        yield item
+    parts, accepted, drawn = [], 0, 0
+    while accepted < trials and drawn < _REJECTION_BUDGET:
+        need = trials - accepted
+        count = min(_REJECTION_BUDGET - drawn, _ROUND, need + need // 4 + 8)
+        arrays, ok = draw(count)
+        drawn += count
+        keep = np.flatnonzero(ok)[:need]
+        parts.append([a[keep] for a in arrays])
+        accepted += len(keep)
     if accepted < trials:
         raise SamplingBudgetError(
             f"{what} sampler accepted {accepted}/{trials} pairs in {_REJECTION_BUDGET} draws"
         )
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _sample_of(a: np.ndarray, b: np.ndarray, capacity: int = 0) -> LipschitzSample:
+    """Scalar re-measure of one screened pair of coordinate arrays."""
+    return sample_pair(Net.of(a, capacity), Net.of(b, capacity))
+
+
+def _worst_pair(a: np.ndarray, b: np.ndarray, capacity: int = 0):
+    """Worst pair of a batch by displacement/alpha, re-measured (`screened_worst`)."""
+    return screened_worst(*screen_ratios(a, b), lambda i: _sample_of(a[i], b[i], capacity))
 
 
 def verify_lemma1(trials: int, dim: int, seed: int = 0) -> LemmaReport:
@@ -66,9 +114,17 @@ def verify_lemma1(trials: int, dim: int, seed: int = 0) -> LemmaReport:
     """
     if trials < 1 or dim < 1:
         raise DomainError("trials and dim must be positive")
-    rng = np.random.default_rng(seed)
-    samples = (sample_pair(random_net(rng, 2, dim), random_net(rng, 2, dim)) for _ in range(trials))
-    return _report("L1", trials, 1.0, worst_of(samples, ratio=_lemma1_ratio))
+    rows = draw_trials(Draws(np.random.default_rng(seed)), trials, [(2, dim), (2, dim)])
+    a = rows[:, : 2 * dim].reshape(trials, 2, dim)
+    b = rows[:, 2 * dim :].reshape(trials, 2, dim)
+    alpha, disp, scale = screen_pairs(a, b)
+    radii = (np.linalg.norm(a[:, 0] - a[:, 1], axis=1) + np.linalg.norm(b[:, 0] - b[:, 1], axis=1)) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower, upper = np.where(alpha > 0.0, disp / alpha, np.nan), alpha / (disp + radii)
+    ratios = np.maximum(lower, upper)
+    errors = np.maximum(screen_error(lower, scale, alpha), screen_error(upper, scale, disp + radii))
+    worst = screened_worst(ratios, errors, lambda i: _sample_of(a[i], b[i], 2), ratio=_lemma1_ratio)
+    return _report("L1", trials, 1.0, worst)
 
 
 def _lemma1_ratio(sample: LipschitzSample) -> float:
@@ -80,16 +136,27 @@ def _lemma1_ratio(sample: LipschitzSample) -> float:
 
 
 def verify_lemma2(trials: int, n: int, seed: int = 0) -> LemmaReport:
-    """Non-expansion of the center map on the line (dim forced to 1)."""
+    """Non-expansion of the center map on the line (dim forced to 1).
+
+    Each net has a random size in 1..n; the batch pads a smaller net with
+    copies of its first point, which changes neither its ball nor alpha.
+    """
     if trials < 1 or n < 1:
         raise DomainError("trials and n must be positive")
     rng = np.random.default_rng(seed)
+    rows, sizes = [], []
+    for _ in range(2 * trials):
+        size = int(rng.integers(1, n + 1))
+        pts = _net_points(rng, size, 1)
+        rows.append(pts + pts[:1] * (n - size))
+        sizes.append(size)
+    nets = np.array(rows).reshape(trials, 2, n, 1)
 
-    def line_net() -> Net:
-        return random_net(rng, int(rng.integers(1, n + 1)), 1)
+    def measure(i: int) -> LipschitzSample:
+        return _sample_of(nets[i, 0, : sizes[2 * i]], nets[i, 1, : sizes[2 * i + 1]])
 
-    samples = (sample_pair(line_net(), line_net()) for _ in range(trials))
-    return _report("L2", trials, 1.0, worst_of(samples))
+    worst = screened_worst(*screen_ratios(nets[:, 0], nets[:, 1]), measure)
+    return _report("L2", trials, 1.0, worst)
 
 
 def _angle(at: Point, b: Point, c: Point) -> float:
@@ -101,6 +168,20 @@ def _angle(at: Point, b: Point, c: Point) -> float:
         raise DegenerateInputError("angle at coincident points is undefined")
     cosang = sum(x * y for x, y in zip(u, v)) / (nu * nv)
     return math.acos(min(1.0, max(-1.0, cosang)))
+
+
+def _acute_at(at: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """`_angle(at, b, c) < pi / 2` for rows of (K, d) arrays, with its arithmetic."""
+    u, v = b - at, c - at
+    # _sum_last adds in index order, as Python's `sum` does.
+    cosang = _sum_last(u * v) / (np.sqrt(_sum_last(u * u)) * np.sqrt(_sum_last(v * v)))
+    angles = map(math.acos, np.clip(cosang, -1.0, 1.0).tolist())
+    return np.fromiter(angles, dtype=float, count=len(cosang)) < math.pi / 2
+
+
+def _dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`math.dist` of the rows of two (K, d) arrays."""
+    return np.fromiter(map(math.dist, p.tolist(), q.tolist()), dtype=float, count=len(p))
 
 
 def lemma4_constant(u: Point, v: Point, w: Point) -> float:
@@ -126,13 +207,13 @@ def verify_lemma4(u: Point, v: Point, w: Point, extensions: int, seed: int = 0) 
     stratified across the ray's three segments: up to the foot p of the
     perpendicular from v, between p and the point q where [q,v] is
     perpendicular to [u,v], and beyond q. Strata not reachable past w are
-    skipped.
+    skipped; the draws cycle through the others in order.
     """
     if extensions < 1:
         raise DomainError("extensions must be positive")
     bound = lemma4_constant(u, v, w)
     t_w = distance(u, w)
-    unit = [(a - b) / t_w for a, b in zip(w.coords, u.coords)]
+    unit = np.array([(a - b) / t_w for a, b in zip(w.coords, u.coords)])
     uv = distance(u, v)
     phi = _angle(u, v, w)
 
@@ -144,29 +225,27 @@ def verify_lemma4(u: Point, v: Point, w: Point, extensions: int, seed: int = 0) 
         strata = [(0.0, t_p), (t_p, t_q), (t_q, t_q + 3.0 * span)]
     else:
         strata = [(t_w, t_w + 3.0 * span)]
+    reachable = [(max(lo, t_w), hi) for lo, hi in strata if hi > max(lo, t_w)]
+    lows, highs = (np.array(bounds) for bounds in zip(*reachable))
 
-    rng = np.random.default_rng(seed)
+    draws = Draws(np.random.default_rng(seed))
+    tri = np.array([u.coords, v.coords, w.coords])
+    found, drawn = [], 0
+    while extensions > sum(map(len, found)):
+        count = extensions - sum(map(len, found))
+        stratum = (drawn + np.arange(count)) % len(reachable)
+        drawn += count
+        lo, hi = lows[stratum], highs[stratum]
+        t_z = lo + (hi - lo) * draws.take(count)
+        z = tri[0] + t_z[:, None] * unit
+        ok = (t_z > t_w) & ~(z == tri[1]).all(axis=1) & ~(z == tri[2]).all(axis=1)
+        found.append(z[ok])
+    zs = np.concatenate(found)
+    moved = np.broadcast_to(tri, (extensions, 3, tri.shape[1])).copy()
+    moved[:, 2] = zs
     m = Net((u, v, w), 3)
-
-    def samples():
-        done = 0
-        stratum = 0
-        while done < extensions:
-            lo, hi = strata[stratum % len(strata)]
-            stratum += 1
-            lo = max(lo, t_w)
-            if hi <= lo:
-                continue
-            t_z = rng.uniform(lo, hi)
-            if t_z <= t_w:
-                continue
-            z = Point(tuple(a + t_z * d for a, d in zip(u.coords, unit)))
-            if z.coords == v.coords or z.coords == w.coords:
-                continue
-            yield sample_pair(m, Net((u, v, z), 3))
-            done += 1
-
-    return _report("L4", extensions, bound, worst_of(samples()))
+    worst = screened_worst(*screen_ratios(tri[None], moved), lambda i: sample_pair(m, Net.of(moved[i], 3)))
+    return _report("L4", extensions, bound, worst)
 
 
 def verify_lemma4_random(trials: int, dim: int, seed: int = 0, extensions_per_config: int = 100) -> LemmaReport:
@@ -207,65 +286,40 @@ def verify_statement1(trials: int, n: int, dim: int, seed: int = 0) -> LemmaRepo
     if n < 3:
         raise DomainError("n must be at least 3")
     bound = (1.0 + math.sqrt(5.0)) / 2.0 if n > 3 else math.sqrt(2.0)
-    rng = np.random.default_rng(seed)
-
-    def draw() -> LipschitzSample | None:
-        m = random_net(rng, n, 2)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        shift = rng.uniform(1.0, 6.0)
-        offset = (shift * math.cos(theta), shift * math.sin(theta))
-        z = Net.of(
-            [(p.coords[0] + offset[0], p.coords[1] + offset[1]) for p in random_net(rng, n, 2)],
-            n,
-        )
-        ball_m = cheb(m)
-        ball_z = cheb(z)
-        gap = distance(ball_m.center, ball_z.center)
-        if gap <= ball_m.radius + ball_z.radius + geom_tol(gap):
-            return None
-        a = hausdorff.alpha(m, z)
-        return LipschitzSample(m, z, a, gap, gap / a)
-
-    return _report("S1", trials, bound, worst_of(_accepted(draw, trials, "disjoint-ball")))
+    draws = Draws(np.random.default_rng(seed))
+    m, z, gap = _accepted(lambda count: _disjoint_draws(draws, count, n), trials, "disjoint-ball")
+    alpha = hausdorff.alpha_batch(m, z)
+    scale = np.maximum(np.abs(m).max(axis=(1, 2)), np.abs(z).max(axis=(1, 2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(alpha > 0.0, gap / alpha, np.nan)
+    worst = screened_worst(ratios, screen_error(ratios, scale, alpha), lambda i: _sample_of(m[i], z[i], n))
+    return _report("S1", trials, bound, worst)
 
 
-def _cross2(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _disjoint_draws(draws: Draws, count: int, n: int):
+    """`count` disjoint-ball draws: nets m and z, their center gap, and the accept mask.
 
-
-def _segment_intersection_only_at(seg1, seg2, shared, tol: float) -> bool:
-    """True if the two closed segments meet nowhere except possibly `shared`."""
-    (a, b), (c, d) = seg1, seg2
-    d1 = (b[0] - a[0], b[1] - a[1])
-    d2 = (d[0] - c[0], d[1] - c[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(denom) > tol:
-        t = ((c[0] - a[0]) * d2[1] - (c[1] - a[1]) * d2[0]) / denom
-        s = ((c[0] - a[0]) * d1[1] - (c[1] - a[1]) * d1[0]) / denom
-        if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= s <= 1 + 1e-12:
-            point = (a[0] + t * d1[0], a[1] + t * d1[1])
-            return math.dist(point, shared) <= tol
-        return True
-    # Parallel: reject any collinear overlap longer than a point at `shared`.
-    if abs(_cross2(a, b, c)) > tol:
-        return True
-    axis = 0 if abs(d1[0]) >= abs(d1[1]) else 1
-    lo1, hi1 = sorted((a[axis], b[axis]))
-    lo2, hi2 = sorted((c[axis], d[axis]))
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if lo > hi + tol:
-        return True
-    return hi - lo <= tol and abs(lo - shared[axis]) <= tol
-
-
-def _triangles_share_only(u, tri1, tri2, scale: float) -> bool:
-    """Segment-intersection check that two triangles meet only at u."""
-    tol = geom_tol(scale)
-    edges1 = [(tri1[i], tri1[(i + 1) % 3]) for i in range(3)]
-    edges2 = [(tri2[i], tri2[(i + 1) % 3]) for i in range(3)]
-    return all(
-        _segment_intersection_only_at(e1, e2, u, tol) for e1 in edges1 for e2 in edges2
-    )
+    A draw is a net m, an angle and a shift, and a net that the shift moves
+    away from m; it is accepted when the enclosing balls are disjoint with
+    a `geom_tol` margin. Draws within TAU_SCREEN of that threshold (or whose
+    net the batch kernel cannot certify) are decided by `cheb`.
+    """
+    rows = draw_trials(draws, count, [(n, 2), 1, 1, (n, 2)])
+    theta = 2.0 * math.pi * rows[:, 2 * n]  # rng.uniform(0, 2 pi), rng.uniform(1, 6)
+    shift = 1.0 + 5.0 * rows[:, 2 * n + 1]
+    cos_sin = np.array([[math.cos(t), math.sin(t)] for t in theta.tolist()]).reshape(count, 2)
+    m = rows[:, : 2 * n].reshape(count, n, 2)
+    z = rows[:, 2 * n + 2 :].reshape(count, n, 2) + (shift[:, None] * cos_sin)[:, None, :]
+    center_m, radius_m = cheb_batch(m)
+    center_z, radius_z = cheb_batch(z)
+    gap = np.linalg.norm(center_m - center_z, axis=1)
+    margin = gap - (radius_m + radius_z + geom_tol(gap))
+    ok = margin > 0.0
+    for i in np.flatnonzero(~(np.abs(margin) > TAU_SCREEN * np.maximum(1.0, gap))):
+        ball_m, ball_z = cheb(Net.of(m[i], n)), cheb(Net.of(z[i], n))
+        gap_i = distance(ball_m.center, ball_z.center)
+        ok[i] = gap_i > ball_m.radius + ball_z.radius + geom_tol(gap_i)
+    return (m, z, gap), ok
 
 
 def verify_statement2(trials: int, dim: int, seed: int = 0, part: str = "i") -> LemmaReport:
@@ -286,67 +340,150 @@ def verify_statement2(trials: int, dim: int, seed: int = 0, part: str = "i") -> 
         raise DomainError("shared-edge bound needs dim >= 2")
     if part == "ii" and dim != 2:
         raise DomainError("shared-vertex bound is stated for the plane (dim 2)")
-    rng = np.random.default_rng(seed)
+    draws = Draws(np.random.default_rng(seed))
+    if part == "i":
+        (pts,) = _accepted(lambda count: _edge_draws(draws, count, dim), trials, "hull-contact")
+        worst = _worst_pair(pts[:, _EDGE_M], pts[:, _EDGE_Z], 3)
+        return _report("S2i", trials, 1.0, worst)
+    (pts,) = _accepted(lambda count: _vertex_draws(draws, count), trials, "hull-contact")
+    return _report("S2ii", trials, 2.0, _worst_pair(pts[:, _VERTEX_M], pts[:, _VERTEX_Z], 3))
 
-    def draw() -> LipschitzSample | None:
-        pair = _shared_edge_pair(rng, dim) if part == "i" else _shared_vertex_pair(rng)
-        return None if pair is None else sample_pair(*pair)
 
-    worst = worst_of(_accepted(draw, trials, "hull-contact"))
-    return _report("S2i" if part == "i" else "S2ii", trials, 1.0 if part == "i" else 2.0, worst)
+# Rows of a shared-edge draw are u, v, w, z; of a shared-vertex draw u, v, w, q, z.
+_EDGE_M, _EDGE_Z = [0, 1, 2], [0, 1, 3]
+_VERTEX_M, _VERTEX_Z = [0, 1, 2], [0, 3, 4]
+
+
+def _cross2(o, a, b):
+    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0])
+
+
+def _edge_draws(draws: Draws, count: int, dim: int):
+    """`count` shared-edge draws: points (count, 4, dim) u, v, w, z and the accept mask.
+
+    Accepted: four distinct points whose triangles (u, v, w) and (u, v, z)
+    meet exactly in [u, v] (apexes strictly on opposite sides of the line
+    in the plane, affinely independent directions above it), and, when
+    both apex angles over [u, v] are acute, alpha < |wz|.
+    """
+    pts = draws.uniform(-1.0, 1.0, (count, 4, dim))
+    u, v, w, z = pts.transpose(1, 0, 2)
+    ok = ~_has_repeat(pts)
+    if dim == 2:
+        ok &= ~(_cross2(u, v, w) * _cross2(u, v, z) >= -TAU_SIGN)
+    else:
+        sv = np.linalg.svd(pts[:, 1:] - u[:, None], compute_uv=False)
+        ok &= ~(sv[:, -1] <= TAU_GEOM * sv[:, 0])
+    test = np.flatnonzero(ok)
+    acute = test[_acute_at(w[test], u[test], v[test]) & _acute_at(z[test], u[test], v[test])]
+    if acute.size:
+        # alpha of two triangles sharing u and v: the larger of the apexes'
+        # nearest-point distances to the other triangle.
+        wu, wv, wz, zu, zv = (_dists(p[acute], q[acute]) for p, q in ((w, u), (w, v), (w, z), (z, u), (z, v)))
+        alpha = np.maximum(np.minimum(np.minimum(wu, wv), wz), np.minimum(np.minimum(zu, zv), wz))
+        ok[acute[alpha >= wz]] = False
+    return (pts,), ok
 
 
 def _shared_edge_pair(rng: np.random.Generator, dim: int):
-    u = Point(tuple(rng.uniform(-1, 1, size=dim).tolist()))
-    v = Point(tuple(rng.uniform(-1, 1, size=dim).tolist()))
-    w = Point(tuple(rng.uniform(-1, 1, size=dim).tolist()))
-    z = Point(tuple(rng.uniform(-1, 1, size=dim).tolist()))
-    pts = {u.coords, v.coords, w.coords, z.coords}
-    if len(pts) != 4:
-        return None
-    dirs = np.array([np.subtract(p.coords, u.coords) for p in (v, w, z)])
-    if dim == 2:
-        # Apexes strictly on opposite sides of the line through u, v.
-        s_w = _cross2(u.coords, v.coords, w.coords)
-        s_z = _cross2(u.coords, v.coords, z.coords)
-        if s_w * s_z >= -1e-18:
-            return None
-    else:
-        # Affinely independent directions force hull contact exactly [u,v].
-        sv = np.linalg.svd(dirs, compute_uv=False)
-        if sv[-1] <= 1e-9 * sv[0]:
-            return None
-    m = Net((u, v, w), 3)
-    z_net = Net((u, v, z), 3)
-    if _angle(w, u, v) < math.pi / 2 and _angle(z, u, v) < math.pi / 2:
-        if hausdorff.alpha(m, z_net) >= distance(w, z):
-            return None
-    return m, z_net
+    """One shared-edge draw from `rng`: its net pair, or None when rejected."""
+    (pts,), ok = _edge_draws(Draws(rng), 1, dim)
+    return (Net.of(pts[0, _EDGE_M], 3), Net.of(pts[0, _EDGE_Z], 3)) if ok[0] else None
+
+
+def _vertex_draws(draws: Draws, count: int):
+    """`count` shared-vertex draws: points (count, 5, 2) u, v, w, q, z and the accept mask.
+
+    A draw is u, an angle giving the normal of a line through u, and four
+    side points: v and w on its positive side, q and z on its negative one,
+    each the first of up to _SIDE_ATTEMPTS offsets from u that lies more
+    than _SIDE_MARGIN beyond the line. Accepted: every side point found,
+    five distinct points, and triangles (u, v, w) and (u, q, z) that meet
+    only at u.
+    """
+    # A draw reads 3 doubles and then 2 per side-point attempt, about 24 in
+    # all. `more` tops the buffer up by exactly what a read lacks, so a
+    # single draw reads no more than it uses; the unread rest goes back.
+    buf = draws.take(3 * count + 21 * (count - 1)).tolist()
+    at = 0
+
+    def more(k: int) -> None:
+        buf.extend(draws.take(at + k - len(buf)).tolist())
+
+    rows, found = [], np.ones(count, bool)
+    for trial in range(count):
+        if at + 3 > len(buf):
+            more(3)
+        u0, u1 = -1.0 + 2.0 * buf[at], -1.0 + 2.0 * buf[at + 1]
+        theta = 2.0 * math.pi * buf[at + 2]
+        at += 3
+        n0, n1 = math.cos(theta), math.sin(theta)
+        row = [u0, u1]
+        for sign in (1.0, 1.0, -1.0, -1.0):
+            point = (0.0, 0.0)
+            for _ in range(_SIDE_ATTEMPTS):
+                if at + 2 > len(buf):
+                    more(2)
+                o0, o1 = -1.0 + 2.0 * buf[at], -1.0 + 2.0 * buf[at + 1]
+                at += 2
+                if sign * (o0 * n0 + o1 * n1) > _SIDE_MARGIN:
+                    point = (u0 + o0, u1 + o1)
+                    break
+            else:
+                found[trial] = False
+            row.extend(point)
+        rows.append(row)
+    draws.rewind(len(buf) - at)
+    pts = np.array(rows).reshape(count, 5, 2)
+    ok = found & ~_has_repeat(pts)
+    test = np.flatnonzero(ok)
+    ok[test] = _triangles_share_only(pts[test])
+    return (pts,), ok
 
 
 def _shared_vertex_pair(rng: np.random.Generator):
-    u = Point(tuple(rng.uniform(-1, 1, size=2).tolist()))
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    normal = (math.cos(theta), math.sin(theta))
-    margin = 0.05
+    """One shared-vertex draw from `rng`: its net pair, or None when rejected."""
+    (pts,), ok = _vertex_draws(Draws(rng), 1)
+    return (Net.of(pts[0, _VERTEX_M], 3), Net.of(pts[0, _VERTEX_Z], 3)) if ok[0] else None
 
-    def side_point(sign: float) -> Point | None:
-        for _ in range(64):
-            off = rng.uniform(-1.0, 1.0, size=2)
-            if sign * (off[0] * normal[0] + off[1] * normal[1]) > margin:
-                return Point((u.coords[0] + off[0], u.coords[1] + off[1]))
-        return None
 
-    v, w = side_point(+1.0), side_point(+1.0)
-    q, z = side_point(-1.0), side_point(-1.0)
-    if any(p is None for p in (v, w, q, z)):
-        return None
-    pts = {u.coords, v.coords, w.coords, q.coords, z.coords}
-    if len(pts) != 5:
-        return None
-    scale = max(abs(c) for p in (u, v, w, q, z) for c in p.coords)
-    if not _triangles_share_only(
-        u.coords, (u.coords, v.coords, w.coords), (u.coords, q.coords, z.coords), scale
-    ):
-        return None
-    return Net((u, v, w), 3), Net((u, q, z), 3)
+# Edge pairs of triangles (u, v, w) and (u, q, z) in a shared-vertex draw.
+_EDGES_1 = [(0, 1), (1, 2), (2, 0)]
+_EDGES_2 = [(0, 3), (3, 4), (4, 0)]
+_SEGMENT_PAIRS = np.array([e1 + e2 for e1 in _EDGES_1 for e2 in _EDGES_2])
+
+
+def _triangles_share_only(pts: np.ndarray) -> np.ndarray:
+    """Segment-intersection check that triangles (u, v, w), (u, q, z) meet only at u.
+
+    `pts` is (K, 5, 2); for every pair of edges the closed segments [a, b]
+    and [c, d] must meet nowhere except possibly at u, within
+    geom_tol(largest absolute coordinate).
+    """
+    count = len(pts)
+    tol = geom_tol(np.abs(pts).max(axis=(1, 2)))[:, None]
+    a, b, c, d = (pts[:, _SEGMENT_PAIRS[:, k]] for k in range(4))
+    shared = np.broadcast_to(pts[:, None, 0], a.shape)
+    d1, d2, ca = b - a, d - c, c - a
+    denom = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    crossing = np.abs(denom) > tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ca[..., 0] * d2[..., 1] - ca[..., 1] * d2[..., 0]) / denom
+        s = (ca[..., 0] * d1[..., 1] - ca[..., 1] * d1[..., 0]) / denom
+    on_both = crossing & (-TAU_SEGMENT <= t) & (t <= 1 + TAU_SEGMENT)
+    on_both &= (-TAU_SEGMENT <= s) & (s <= 1 + TAU_SEGMENT)
+    point = a[on_both] + t[on_both][:, None] * d1[on_both]
+    good = ~on_both
+    good[on_both] = _dists(point, shared[on_both]) <= np.broadcast_to(tol, t.shape)[on_both]
+    # Parallel: reject any collinear overlap longer than a point at u.
+    axis = (np.abs(d1[..., 0]) < np.abs(d1[..., 1])).astype(np.intp)[..., None]
+
+    def pick(x):  # the coordinate of `axis`
+        return np.take_along_axis(x, axis, -1)[..., 0]
+
+    lo = np.maximum(np.minimum(pick(a), pick(b)), np.minimum(pick(c), pick(d)))
+    hi = np.minimum(np.maximum(pick(a), pick(b)), np.maximum(pick(c), pick(d)))
+    apart = (np.abs(_cross2(a, b, c)) > tol) | (lo > hi + tol)
+    touch = (hi - lo <= tol) & (np.abs(lo - pick(shared)) <= tol)
+    good = np.where(crossing, good, apart | touch)
+    return good.reshape(count, -1).all(axis=1)

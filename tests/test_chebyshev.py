@@ -13,6 +13,7 @@ from chebnets.chebyshev import (
     _welzl,
     cheb,
     cheb_1d,
+    cheb_batch,
     cheb_oracle,
     support_barycentric,
 )
@@ -372,3 +373,72 @@ def test_radius_invariant_under_isometry(data):
     image = moved(coords, q, shift)
     scale = max(abs(c) for p in list(coords) + image.coord_list() for c in p)
     assert abs(cheb(image).radius - cheb(Net.of(coords)).radius) <= geom_tol(scale)
+
+
+def assert_kernel_matches_welzl(coords):
+    """`cheb_batch` on one net against the move-to-front solve, within 1e-12 * scale."""
+    net = Net.of(coords)
+    try:
+        ref = _welzl(net, 0)
+    except DegenerateInputError:
+        assume(False)  # the reference itself fails on some near-duplicate nets
+    center, radius = cheb_batch(np.array(net.coord_list())[None])
+    scale = max(1.0, max(abs(c) for p in net.coord_list() for c in p))
+    assert np.abs(center[0] - ref.center.coords).max() <= 1e-12 * scale
+    assert abs(radius[0] - ref.radius) <= 1e-12 * scale
+    if len(net) == 2 or net.dim == 1:
+        assert tuple(center[0].tolist()) == cheb_1d(net).center.coords
+
+
+_GRID = st.integers(-16, 16).map(lambda k: k / 8)
+_FLOAT = st.floats(-1, 1, allow_nan=False).filter(lambda x: x == 0 or abs(x) >= 1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_batch_kernel_matches_welzl(data):
+    dim = data.draw(st.integers(1, 3))
+    size = data.draw(st.integers(1, 6))
+    coord = data.draw(st.sampled_from([_GRID, _FLOAT]))
+    coords = data.draw(
+        st.lists(st.tuples(*([coord] * dim)), min_size=size, max_size=size, unique=True)
+    )
+    assert_kernel_matches_welzl(coords)
+
+
+def test_batch_kernel_on_planted_degenerate_nets():
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        dim = int(rng.integers(2, 4))
+        # three collinear points, plus up to two points off the line
+        p, d = rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim)
+        line = [tuple((p + t * d).tolist()) for t in rng.uniform(-2, 2, 3)]
+        extra = [tuple(x) for x in rng.uniform(-1, 1, (int(rng.integers(0, 3)), dim)).tolist()]
+        assert_kernel_matches_welzl(line + extra)
+        # a rotated, shifted square: four cocircular points
+        angle, shift = rng.uniform(0, 2 * math.pi), rng.uniform(-5, 5, 2)
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        square = [tuple((rot @ c + shift).tolist()) for c in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+        assert_kernel_matches_welzl(square)
+        # twins 1e-7 apart
+        pts = rng.uniform(-1, 1, (int(rng.integers(2, 5)), dim))
+        twin = pts[0] + 1e-7 * rng.normal(size=dim) / math.sqrt(dim)
+        assert_kernel_matches_welzl([tuple(x) for x in pts.tolist()] + [tuple(twin.tolist())])
+
+
+def test_batch_kernel_ignores_repeated_points():
+    rng = np.random.default_rng(5)
+    for n, dim in [(3, 1), (2, 2), (3, 2), (4, 3)]:
+        nets = rng.uniform(-1, 1, (50, n, dim))
+        padded = np.concatenate([nets, nets[:, :1], nets[:, -1:]], axis=1)
+        (c, r), (cp, rp) = cheb_batch(nets), cheb_batch(padded)
+        assert np.abs(c - cp).max() <= 1e-12 and np.abs(r - rp).max() <= 1e-12
+
+
+def test_batch_kernel_batches_like_single_nets():
+    rng = np.random.default_rng(8)
+    nets = rng.uniform(-1, 1, (40, 5, 3))
+    centers, radii = cheb_batch(nets)
+    for net, center, radius in zip(nets, centers, radii):
+        c1, r1 = cheb_batch(net[None])
+        assert np.abs(c1[0] - center).max() <= 1e-15 and abs(r1[0] - radius) <= 1e-15

@@ -1,0 +1,404 @@
+"""The batch verifier pipeline against plain per-trial loops.
+
+Each reference below draws one trial at a time with `rng.uniform`, measures
+every trial with `sample_pair` and keeps the first worst one, which is how
+the verifiers ran before they were batched. The batch verifiers must report
+bitwise the same maximum ratio and worst sample.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import chebnets.verifiers as verifiers
+from chebnets import hausdorff
+from chebnets.chebyshev import cheb
+from chebnets.errors import DegenerateInputError
+from chebnets.geometry import Net, Point, distance
+from chebnets.lipschitz import (
+    Draws,
+    NeighborhoodSpec,
+    default_epsilon,
+    draw_trials,
+    estimate_local_lipschitz,
+    random_net,
+    sample_pair,
+    worst_of,
+)
+from chebnets.tolerances import TAU_GEOM, geom_tol
+from chebnets.verifiers import (
+    _angle,
+    lemma4_constant,
+    verify_lemma1,
+    verify_lemma2,
+    verify_lemma4,
+    verify_lemma4_random,
+    verify_statement1,
+    verify_statement2,
+)
+
+SEEDS = (3, 7, 31)
+
+
+def ref_points(rng, size, dim):
+    """Points of one random net in draw order, one draw per point."""
+    pts = []
+    while len(pts) < size:
+        p = tuple(rng.uniform(-1.0, 1.0, size=dim).tolist())
+        if p not in pts:
+            pts.append(p)
+    return pts
+
+
+def ref_net(rng, size, dim):
+    return Net.of(ref_points(rng, size, dim), size)
+
+
+def ref_lemma1(trials, dim, seed):
+    rng = np.random.default_rng(seed)
+    samples = [sample_pair(ref_net(rng, 2, dim), ref_net(rng, 2, dim)) for _ in range(trials)]
+    return worst_of(samples, ratio=verifiers._lemma1_ratio)
+
+
+def ref_lemma2(trials, n, seed):
+    rng = np.random.default_rng(seed)
+
+    def line_net():
+        return ref_net(rng, int(rng.integers(1, n + 1)), 1)
+
+    return worst_of(sample_pair(line_net(), line_net()) for _ in range(trials))
+
+
+def ref_lemma4(u, v, w, extensions, seed):
+    t_w = distance(u, w)
+    unit = [(a - b) / t_w for a, b in zip(w.coords, u.coords)]
+    uv = distance(u, v)
+    phi = _angle(u, v, w)
+    span = uv + t_w
+    if 0.0 < phi < math.pi / 2:
+        t_p, t_q = uv * math.cos(phi), uv / math.cos(phi)
+        strata = [(0.0, t_p), (t_p, t_q), (t_q, t_q + 3.0 * span)]
+    else:
+        strata = [(t_w, t_w + 3.0 * span)]
+    rng = np.random.default_rng(seed)
+    m = Net((u, v, w), 3)
+    samples, stratum = [], 0
+    while len(samples) < extensions:
+        lo, hi = strata[stratum % len(strata)]
+        stratum += 1
+        lo = max(lo, t_w)
+        if hi <= lo:
+            continue
+        t_z = rng.uniform(lo, hi)
+        if t_z <= t_w:
+            continue
+        z = Point(tuple(a + t_z * d for a, d in zip(u.coords, unit)))
+        if z.coords == v.coords or z.coords == w.coords:
+            continue
+        samples.append(sample_pair(m, Net((u, v, z), 3)))
+    return worst_of(samples)
+
+
+def ref_lemma4_random(trials, dim, seed, per_config=100):
+    rng = np.random.default_rng(seed)
+    reports, done = [], 0
+    while done < trials:
+        batch = min(per_config, trials - done)
+        u, v, w = (Point(tuple(rng.uniform(-1, 1, size=dim).tolist())) for _ in range(3))
+        config_seed = int(rng.integers(2**32))
+        try:
+            bound = lemma4_constant(u, v, w)
+        except DegenerateInputError:
+            continue
+        max_ratio, sample = ref_lemma4(u, v, w, batch, config_seed)
+        reports.append((max_ratio / bound, sample))
+        done += batch
+    return worst_of(reports, ratio=lambda r: r[0])
+
+
+def accepted(draw, trials):
+    out = []
+    while len(out) < trials:
+        item = draw()
+        if item is not None:
+            out.append(item)
+    return out
+
+
+def ref_statement1(trials, n, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        m = ref_net(rng, n, 2)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        shift = rng.uniform(1.0, 6.0)
+        offset = (shift * math.cos(theta), shift * math.sin(theta))
+        z = Net.of([(x + offset[0], y + offset[1]) for x, y in ref_points(rng, n, 2)], n)
+        ball_m, ball_z = cheb(m), cheb(z)
+        gap = distance(ball_m.center, ball_z.center)
+        if gap <= ball_m.radius + ball_z.radius + geom_tol(gap):
+            return None
+        return sample_pair(m, z)
+
+    return worst_of(accepted(draw, trials))
+
+
+def cross2(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def ref_shared_edge_pair(rng, dim):
+    u, v, w, z = (Point(tuple(rng.uniform(-1, 1, size=dim).tolist())) for _ in range(4))
+    if len({u.coords, v.coords, w.coords, z.coords}) != 4:
+        return None
+    if dim == 2:
+        if cross2(u.coords, v.coords, w.coords) * cross2(u.coords, v.coords, z.coords) >= -1e-18:
+            return None
+    else:
+        dirs = np.array([np.subtract(p.coords, u.coords) for p in (v, w, z)])
+        sv = np.linalg.svd(dirs, compute_uv=False)
+        if sv[-1] <= 1e-9 * sv[0]:
+            return None
+    m, z_net = Net((u, v, w), 3), Net((u, v, z), 3)
+    if _angle(w, u, v) < math.pi / 2 and _angle(z, u, v) < math.pi / 2:
+        if hausdorff.alpha(m, z_net) >= distance(w, z):
+            return None
+    return m, z_net
+
+
+def segments_meet_only_at(seg1, seg2, shared, tol):
+    (a, b), (c, d) = seg1, seg2
+    d1 = (b[0] - a[0], b[1] - a[1])
+    d2 = (d[0] - c[0], d[1] - c[1])
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    if abs(denom) > tol:
+        t = ((c[0] - a[0]) * d2[1] - (c[1] - a[1]) * d2[0]) / denom
+        s = ((c[0] - a[0]) * d1[1] - (c[1] - a[1]) * d1[0]) / denom
+        if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= s <= 1 + 1e-12:
+            return math.dist((a[0] + t * d1[0], a[1] + t * d1[1]), shared) <= tol
+        return True
+    if abs(cross2(a, b, c)) > tol:
+        return True
+    axis = 0 if abs(d1[0]) >= abs(d1[1]) else 1
+    lo1, hi1 = sorted((a[axis], b[axis]))
+    lo2, hi2 = sorted((c[axis], d[axis]))
+    lo, hi = max(lo1, lo2), min(hi1, hi2)
+    if lo > hi + tol:
+        return True
+    return hi - lo <= tol and abs(lo - shared[axis]) <= tol
+
+
+def ref_shared_vertex_pair(rng):
+    u = Point(tuple(rng.uniform(-1, 1, size=2).tolist()))
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    normal = (math.cos(theta), math.sin(theta))
+
+    def side_point(sign):
+        for _ in range(64):
+            off = rng.uniform(-1.0, 1.0, size=2)
+            if sign * (off[0] * normal[0] + off[1] * normal[1]) > 0.05:
+                return Point((u.coords[0] + off[0], u.coords[1] + off[1]))
+        return None
+
+    v, w = side_point(1.0), side_point(1.0)
+    q, z = side_point(-1.0), side_point(-1.0)
+    if any(p is None for p in (v, w, q, z)):
+        return None
+    if len({u.coords, v.coords, w.coords, q.coords, z.coords}) != 5:
+        return None
+    tol = geom_tol(max(abs(c) for p in (u, v, w, q, z) for c in p.coords))
+    tri1, tri2 = (u.coords, v.coords, w.coords), (u.coords, q.coords, z.coords)
+    edges1 = [(tri1[i], tri1[(i + 1) % 3]) for i in range(3)]
+    edges2 = [(tri2[i], tri2[(i + 1) % 3]) for i in range(3)]
+    if not all(segments_meet_only_at(e1, e2, u.coords, tol) for e1 in edges1 for e2 in edges2):
+        return None
+    return Net((u, v, w), 3), Net((u, q, z), 3)
+
+
+def ref_statement2(trials, dim, seed, part):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        pair = ref_shared_edge_pair(rng, dim) if part == "i" else ref_shared_vertex_pair(rng)
+        return None if pair is None else sample_pair(*pair)
+
+    return worst_of(accepted(draw, trials))
+
+
+def ref_local(spec):
+    rng = np.random.default_rng(spec.seed)
+
+    def perturbed():
+        while True:
+            pts = []
+            for p in spec.base_net:
+                v = rng.normal(size=spec.base_net.dim)
+                norm = np.linalg.norm(v)
+                while norm == 0.0:
+                    v = rng.normal(size=spec.base_net.dim)
+                    norm = np.linalg.norm(v)
+                r = spec.epsilon * rng.random() ** (1.0 / spec.base_net.dim)
+                pts.append(tuple((p.array() + v * (r / norm)).tolist()))
+            if len(set(pts)) == len(pts):
+                return Net.of(pts, spec.base_net.capacity)
+
+    return worst_of(sample_pair(perturbed(), perturbed()) for _ in range(spec.sample_count))
+
+
+def same_report(report, ref):
+    max_ratio, sample = ref
+    assert report.max_ratio == max_ratio
+    assert report.worst_sample == sample
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lemma1_and_lemma2_match_per_trial_loops(seed):
+    for dim in (1, 2, 3):
+        same_report(verify_lemma1(150, dim, seed), ref_lemma1(150, dim, seed))
+    same_report(verify_lemma2(300, 5, seed), ref_lemma2(300, 5, seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lemma4_matches_per_trial_loop(seed):
+    for dim in (2, 3):
+        report = verify_lemma4_random(250, dim, seed, extensions_per_config=50)
+        max_norm, worst = ref_lemma4_random(250, dim, seed, per_config=50)
+        assert report.max_ratio == max_norm
+        assert report.worst_sample == worst[1]
+    u, v, w = Point((0.0, 0.0)), Point((1.0, 0.2)), Point((0.4, 0.7))
+    same_report(verify_lemma4(u, v, w, 120, seed), ref_lemma4(u, v, w, 120, seed))
+
+
+def test_lemma4_screen_widens_where_alpha_is_small():
+    # The worst trial of seed 29 in 3-d has alpha 1.7e-4, so its screened
+    # ratio is off by more than 1e-12 relative, and several trials of its
+    # configuration sit at the constant to within that.
+    report = verify_lemma4_random(300, 3, 29, extensions_per_config=100)
+    max_norm, worst = ref_lemma4_random(300, 3, 29, per_config=100)
+    assert report.max_ratio == max_norm == 1.0000000000004343
+    assert report.worst_sample == worst[1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_statements_match_per_trial_loops(seed):
+    for n in (3, 4):
+        same_report(verify_statement1(150, n, 2, seed), ref_statement1(150, n, seed))
+    for dim in (2, 3):
+        same_report(verify_statement2(150, dim, seed, "i"), ref_statement2(150, dim, seed, "i"))
+    same_report(verify_statement2(150, 2, seed, "ii"), ref_statement2(150, 2, seed, "ii"))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_local_estimate_matches_per_trial_loop(seed):
+    rng = np.random.default_rng(seed)
+    for size, dim in [(3, 2), (5, 3)]:
+        base = ref_net(rng, size, dim)
+        spec = NeighborhoodSpec(base, default_epsilon(base), 60, seed)
+        assert estimate_local_lipschitz(spec) == ref_local(spec)
+
+
+def test_single_draws_consume_the_stream_as_one_trial():
+    for seed in range(40):
+        for dim in (2, 3):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert verifiers._shared_edge_pair(a, dim) == ref_shared_edge_pair(b, dim)
+            assert a.random() == b.random()
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert verifiers._shared_vertex_pair(a) == ref_shared_vertex_pair(b)
+        assert a.random() == b.random()
+
+
+class ScriptedStream:
+    """Stands in for a Generator: serves fixed values in [0, 1), in the order drawn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        count = 1 if size is None else int(np.prod(size))
+        block, self.values = self.values[:count], self.values[count:]
+        return block[0] if size is None else np.array(block).reshape(size)
+
+    def uniform(self, low, high, size=None):
+        return low + (high - low) * self.random(size)
+
+
+def u_of(coords):
+    """Stream values that `uniform(-1, 1)` turns into `coords` (exact for these dyadics)."""
+    return [(x + 1.0) / 2.0 for x in coords]
+
+
+def ref_trial(stream, parts):
+    """One trial read part by part: plain doubles, or a net's points in draw order."""
+    row = []
+    for part in parts:
+        if isinstance(part, int):
+            row += [stream.random() for _ in range(part)]
+        else:
+            row += [c for p in ref_points(stream, *part) for c in p]
+    return row
+
+
+@pytest.mark.parametrize("parts", [[(3, 2), (3, 2)], [(3, 2), 1, 1, (3, 2)]])
+def test_trial_blocks_redraw_exact_repeats_like_random_net(parts):
+    plain = [[0.5, 0.25], [0.125, 0.75], [0.0, 0.5]]
+    nets = [
+        [0.5, 0.5, -0.25, 0.0, 0.75, 0.25],
+        [0.125, 0.5, 0.0, 0.0, -0.5, 0.5],
+        [0.5, 0.5, 0.5, 0.5, 0.75, -1.0, 0.0, 0.25],  # draws a point twice, then one more
+        [-0.75, 0.5, 0.5, -0.5, 0.25, 0.25],
+        [0.375, 0.5, 0.0, 0.75, -0.125, 0.0],
+        [0.5, 0.25, 0.625, 0.0, 0.0, -0.5],
+    ]
+    values = []
+    for trial in range(3):
+        values += u_of(nets[2 * trial])
+        if len(parts) == 4:
+            values += plain[trial]
+        values += u_of(nets[2 * trial + 1])
+    values += [0.125, 0.875]  # left over
+    batch_stream, ref_stream = ScriptedStream(values), ScriptedStream(values)
+    rows = draw_trials(Draws(batch_stream), 3, parts)
+    assert [row.tolist() for row in rows] == [ref_trial(ref_stream, parts) for _ in range(3)]
+    assert batch_stream.values == ref_stream.values == [0.125, 0.875]
+    # The same nets as random_net draws from the same stream.
+    net_stream = ScriptedStream(values)
+    for row in rows:
+        first = random_net(net_stream, 3, 2)
+        if len(parts) == 4:
+            assert row[6:8].tolist() == [net_stream.random(), net_stream.random()]
+        assert first == Net.of(row[:6].reshape(3, 2), 3)
+        assert random_net(net_stream, 3, 2) == Net.of(row[-6:].reshape(3, 2), 3)
+
+
+def test_disjoint_draw_near_its_threshold_is_decided_by_cheb(monkeypatch):
+    # m = {(-0.5, 0), (0.5, 0), (0, 0.25)} has the ball of radius 1/2 at the
+    # origin; z is m shifted along the x axis by s = 1 + 1e-9, which is
+    # 1 + geom_tol(s) up to rounding, so the batch figures cannot decide
+    # whether the two balls are disjoint.
+    calls = []
+    original = verifiers.cheb
+
+    def counting_cheb(net, seed=0):
+        calls.append(net)
+        return original(net, seed)
+
+    monkeypatch.setattr(verifiers, "cheb", counting_cheb)
+    triangle = u_of([-0.5, 0.0, 0.5, 0.0, 0.0, 0.25])
+    shift_u = TAU_GEOM / 5.0  # the shift is 1 + 5u
+    (m, z, gap), ok = verifiers._disjoint_draws(
+        Draws(ScriptedStream(triangle + [0.0, shift_u] + triangle)), 1, 3
+    )
+    assert len(calls) == 2
+    ball_m, ball_z = original(Net.of(m[0])), original(Net.of(z[0]))
+    gap_scalar = distance(ball_m.center, ball_z.center)
+    assert ok[0] == (gap_scalar > ball_m.radius + ball_z.radius + geom_tol(gap_scalar))
+
+
+def test_geom_tol_scalar_path_is_a_float_equal_to_the_array_path():
+    for x in (0.0, -0.5, 1.0, 3.75, -1e300, 5e-324):
+        tol = geom_tol(x)
+        assert type(tol) is float
+        assert tol == float(geom_tol(np.array([x]))[0])
+    assert isinstance(geom_tol(np.float64(2.0)), float)
