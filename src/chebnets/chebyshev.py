@@ -4,13 +4,14 @@ The main solver is the incremental randomized move-to-front algorithm with
 explicit support-set maintenance (Welzl 1991). Each support set costs one
 Gram solve: `_circumball` returns the ball together with the barycentric
 weights of its center, and those weights certify that the center lies in
-the support's convex hull, with no second solve. A support that fails the
-check is not repaired: the solve is retried on a reshuffled insertion
-order. Nets of two points and nets on the line skip the recursion: their
-ball is fixed by the lexicographic extremes (`cheb_1d`). Before the solve
-the coordinates are scaled by an exact power of two, so squared lengths
-neither overflow nor underflow and the result does not depend on the scale
-of the net. The seeded insertion orders are cached per (seed, attempt, size).
+the support's convex hull, with no second solve. The solve is one pass: a
+point that would make a support affinely dependent is left off it (`_mtf`).
+Nets of two points and nets on the line skip the recursion: their ball is
+fixed by the lexicographic extremes (`cheb_1d`). Before the solve the
+coordinates are scaled by an exact power of two, so squared lengths neither
+overflow nor underflow and the result does not depend on the scale of the
+net. The insertion order is one cached shuffle per net size, so the result
+is a function of the net alone.
 
 The second engine enumerates candidate support subsets
 (`_enumerated_balls`), solving the subsets of one size for a whole batch of
@@ -68,8 +69,6 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     m = len(rhs)
     a = [row[:] + [r] for row, r in zip(matrix, rhs)]
     scale = max((abs(a[i][j]) for i in range(m) for j in range(m)), default=0.0)
-    if scale == 0.0:
-        raise DegenerateInputError("zero Gram system")
     for col in range(m):
         piv = max(range(col, m), key=lambda r: abs(a[r][col]))
         if abs(a[piv][col]) <= TAU_RANK * scale:
@@ -124,6 +123,10 @@ def _mtf(pts, order, boundary, dim):
     Returns (center, radius, support index tuple, barycentric weights of the
     center over the support); `order` is permuted in place so violators
     migrate toward the front.
+
+    A violator whose push makes the circumball system near-singular stays
+    off the support: Welzl's invariant puts it on the current sphere up to
+    rounding (Gaertner's rejected push, ESA 1999).
     """
     if len(boundary) == 1:
         center, radius, weights = pts[boundary[0]], 0.0, (1.0,)
@@ -138,7 +141,10 @@ def _mtf(pts, order, boundary, dim):
     for i in range(len(order)):
         idx = order[i]
         if center is None or math.dist(pts[idx], center) > limit:
-            center, radius, support, weights = _mtf(pts, order[:i], boundary + [idx], dim)
+            try:
+                center, radius, support, weights = _mtf(pts, order[:i], boundary + [idx], dim)
+            except DegenerateInputError:
+                continue
             limit = radius * (1.0 + TAU_BALL)
             order.pop(i)
             order.insert(0, idx)
@@ -147,12 +153,9 @@ def _mtf(pts, order, boundary, dim):
 
 def _affine_weights(pts: Sequence[tuple[float, ...]], target) -> list[float]:
     """Barycentric coordinates of `target` in the affine hull of `pts`."""
-    k = len(pts)
-    if k == 1:
-        return [1.0]
     base = pts[0]
     dirs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
-    m = k - 1
+    m = len(pts) - 1
     gram = [[_dot(dirs[i], dirs[j]) for j in range(m)] for i in range(m)]
     rhs = [_dot(d, tuple(x - y for x, y in zip(target, base))) for d in dirs]
     mu = _solve(gram, rhs)
@@ -182,7 +185,7 @@ def _build_result(net: Net, center, radius, support_idx, weights, exp: int = 0) 
     """Result of a solve on the net's coordinates times 2**-exp.
 
     `weights` are the center's barycentric coordinates over the support; a
-    center outside the support's hull raises DegenerateInputError.
+    center outside the support's hull raises DegenerateInputError to the caller.
     """
     if min(weights) < -TAU_GEOM:
         raise DegenerateInputError("support does not certify the center in its hull")
@@ -194,50 +197,40 @@ def _build_result(net: Net, center, radius, support_idx, weights, exp: int = 0) 
 
 
 @functools.lru_cache(maxsize=64)
-def _insertion_order(seed: int, attempt: int, n: int) -> tuple[int, ...]:
-    """Seeded shuffle of range(n); cached because seeding a Random is slow."""
+def _insertion_order(n: int) -> tuple[int, ...]:
+    """Fixed shuffle of range(n); cached because seeding a Random is slow."""
     order = list(range(n))
-    random.Random(f"{seed}:{attempt}").shuffle(order)
+    random.Random("0:0").shuffle(order)
     return tuple(order)
 
 
-def cheb(net: Net, seed: int = 0) -> ChebResult:
+def cheb(net: Net) -> ChebResult:
     """Minimum enclosing ball of a net.
 
     A singleton is its own ball. Two-point nets and nets on the line take
     the closed form of `cheb_1d`, which equals the move-to-front result
     bitwise. Every other net goes to the move-to-front solve (`_welzl`).
-    Deterministic for a fixed seed.
     """
     n = len(net)
     if n == 1:
         return ChebResult(net.points[0], 0.0, (net.points[0],))
     if n == 2 or net.dim == 1:
         return cheb_1d(net)
-    return _welzl(net, seed)
+    return _welzl(net)
 
 
-def _welzl(net: Net, seed: int) -> ChebResult:
-    """Move-to-front solve of a net of any size and dimension.
+def _welzl(net: Net) -> ChebResult:
+    """Move-to-front solve of a net of any size and dimension, in one pass.
 
     The solve runs on the coordinates scaled by an exact power of two
     (`_unit_scaled`), so that it depends on neither the scale of the net nor
     the floating-point range; the center and radius are scaled back exactly.
-    The insertion order is a seeded shuffle of the net's canonical point
-    order. A near-singular support solve, or a final support whose weights
-    leave its hull (`_build_result`), triggers a reshuffled retry (at most 3)
-    before giving up.
+    The insertion order is a fixed shuffle of the net's canonical order.
     """
     pts, exp = _unit_scaled(net.coord_list())
-    last_err = None
-    for attempt in range(4):
-        order = list(_insertion_order(seed, attempt, len(pts)))
-        try:
-            center, radius, support_idx, weights = _mtf(pts, order, [], net.dim)
-            return _build_result(net, center, radius, support_idx, weights, exp)
-        except DegenerateInputError as err:
-            last_err = err
-    raise DegenerateInputError(f"minimum enclosing ball solve failed: {last_err}")
+    order = list(_insertion_order(len(pts)))
+    center, radius, support_idx, weights = _mtf(pts, order, [], net.dim)
+    return _build_result(net, center, radius, support_idx, weights, exp)
 
 
 def cheb_1d(net: Net) -> ChebResult:

@@ -226,7 +226,7 @@ def run(config: RunConfig) -> int:
     cmd = config.command
     if cmd == "cheb":
         net = _load_net(config.input)
-        result = cheb(net, seed=config.seed)
+        result = cheb(net)
         doc = {
             "schema": SCHEMA_VERSION,
             "center": list(result.center.coords),
@@ -351,11 +351,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
         p.add_argument("--quiet", action="store_true")
 
-    p = sub.add_parser("cheb", help="minimum enclosing ball of a net")
+    p = sub.add_parser("cheb", help="minimum enclosing ball of a net (a function of the net alone)")
     p.add_argument("--input", required=True)
     common(p)
 
@@ -369,6 +368,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--n", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random draws")
     common(p)
 
     p = sub.add_parser("counterexample", help="blow-up witness construction")
@@ -384,11 +384,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--samples", type=int, default=1_000)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random draws")
     common(p)
 
     p = sub.add_parser("suite-all", aliases=["suite_all"], help="run the whole verifier suite")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--samples", type=int, default=1_000)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random draws")
     common(p)
 
     return parser

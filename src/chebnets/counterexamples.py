@@ -26,6 +26,7 @@ from .hyperbolic import (
     minkowski_inner,
 )
 from .lipschitz import sample_pair
+from .tolerances import TAU_WITNESS
 
 
 def _euclidean_family(chord: float) -> tuple[Net, Net]:
@@ -55,7 +56,7 @@ def lemma3_counterexample(target: float) -> tuple[Net, Net, float]:
     y = Point((1.0, 0.0))
     z = next(p for p in m if p.coords not in ((0.0, 0.0), (1.0, 0.0)))
     expected = 1.0 / (2.0 * distance(y, z))
-    if abs(sample.ratio - expected) > 1e-6 * expected:
+    if abs(sample.ratio - expected) > TAU_WITNESS * expected:
         raise InconsistencyError(
             f"measured ratio {sample.ratio} disagrees with closed form {expected}"
         )

@@ -99,10 +99,10 @@ def worst_of(items: Iterable, ratio: Callable = attrgetter("ratio")) -> tuple[fl
     return max_ratio, worst
 
 
-def sample_pair(m: Net, z: Net, seed: int = 0) -> LipschitzSample:
+def sample_pair(m: Net, z: Net) -> LipschitzSample:
     """Measure one pair: alpha, center displacement and their ratio."""
     a = hausdorff.alpha(m, z)
-    disp = distance(cheb(m, seed=seed).center, cheb(z, seed=seed).center)
+    disp = distance(cheb(m).center, cheb(z).center)
     if a == 0.0:
         if disp > geom_tol(_net_scale(m)):
             raise InconsistencyError(

@@ -39,6 +39,9 @@ TAU_SEGMENT = 1e-12
 # are re-run on the scalar solver.
 TAU_SCREEN = 1e-12
 
+# Relative slack of the Lemma 3 witness ratio against its closed form.
+TAU_WITNESS = 1e-6
+
 
 def geom_tol(scale):
     """Absolute tolerance for quantities of the given magnitude.

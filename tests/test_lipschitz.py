@@ -50,7 +50,7 @@ def test_sample_pair_ratio_consistency():
 def test_sample_pair_flags_inconsistent_solver(monkeypatch):
     drift = iter([Point((0.0, 0.0)), Point((1.0, 0.0))])
 
-    def broken_cheb(net, seed=0):
+    def broken_cheb(net):
         p = next(drift)
         return ChebResult(p, 0.0, (p,))
 
