@@ -1,9 +1,12 @@
 """Command-line front end: net I/O, solver runs, verifier suites, reports.
 
-Machine-readable output (JSON or CSV) goes to stdout, a one-line human
-summary to stderr. Exit codes: 0 success/pass, 2 verification fail,
-1 usage or I/O error. All output is byte-identical for identical
-(config, seed) on one platform.
+Subcommands: `cheb`, `alpha`, `verify`, `counterexample`, `sequence`,
+`estimate` and `suite-all` (alias `suite_all`). Machine-readable output goes
+to stdout, a one-line human summary to stderr. Three subcommands take
+`--format json|csv`: `verify` (default json), `sequence` (default csv) and
+`estimate` (default json); the others have one output form. Exit codes:
+0 success/pass, 2 verification fail, 1 usage or I/O error. All output is
+byte-identical for identical (config, seed) on one platform.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -45,42 +46,9 @@ from .verifiers import (
 
 SCHEMA_VERSION = 1
 
-_LEMMA_KEYS = {"1": "L1", "2": "L2", "4": "L4", "s1": "S1", "s2i": "S2i", "s2ii": "S2ii"}
-
 
 class _UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one subcommand with its knobs."""
-
-    command: str
-    input: str | None = None
-    left: str | None = None
-    right: str | None = None
-    lemma: str | None = None
-    trials: int = 10_000
-    samples: int = 1_000
-    dim: int = 2
-    n: int = 3
-    seed: int = 0
-    target: float = 10.0
-    hyperbolic: bool = False
-    nmax: int = 1000
-    epsilon: float | None = None
-    fmt: str = "json"
-    quiet: bool = False
-
-    def __post_init__(self):
-        if self.trials < 1 or self.samples < 1 or self.dim < 1 or self.n < 1:
-            raise _UsageError("counts and dimensions must be positive")
-        if self.seed < 0:
-            raise _UsageError("seed must be nonnegative")
-        for path in (self.input, self.left, self.right):
-            if path is not None and not Path(path).is_file():
-                raise _UsageError(f"input file not found: {path}")
 
 
 def sample_to_json(sample: LipschitzSample) -> dict:
@@ -105,50 +73,19 @@ def report_to_json(report: LemmaReport) -> dict:
     }
 
 
-def _load_net(path: str) -> Net:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise _UsageError(f"{path}: not valid JSON ({err})") from err
-    try:
-        return net_from_json(doc)
-    except ChebnetsError as err:
-        raise _UsageError(f"{path}: {err}") from err
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
 
 
-def _summary(config: RunConfig, text: str) -> None:
-    if not config.quiet:
+def _summary(args: argparse.Namespace, text: str) -> None:
+    if not args.quiet:
         print(text, file=sys.stderr)
 
 
 def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True)
-
-
-def _run_verify(config: RunConfig) -> tuple[LemmaReport, str]:
-    key = _LEMMA_KEYS.get((config.lemma or "").lower())
-    if key is None:
-        raise _UsageError(f"unknown lemma {config.lemma!r}; pick from 1|2|4|s1|s2i|s2ii")
-    if key == "L1":
-        report = verify_lemma1(config.trials, config.dim, config.seed)
-    elif key == "L2":
-        report = verify_lemma2(config.trials, config.n, config.seed)
-    elif key == "L4":
-        report = verify_lemma4_random(config.trials, config.dim, config.seed)
-    elif key == "S1":
-        report = verify_statement1(config.trials, config.n, config.dim, config.seed)
-    elif key == "S2i":
-        report = verify_statement2(config.trials, config.dim, config.seed, part="i")
-    else:
-        report = verify_statement2(config.trials, config.dim, config.seed, part="ii")
-    return report, key
 
 
 def suite_all(seed: int, trials: int = 10_000, samples: int = 1_000) -> dict:
@@ -221,124 +158,157 @@ def suite_all(seed: int, trials: int = 10_000, samples: int = 1_000) -> dict:
     return {"schema": SCHEMA_VERSION, "seed": seed, "reports": reports, "pass": ok}
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one parsed invocation; returns the process exit code."""
-    cmd = config.command
-    if cmd == "cheb":
-        net = _load_net(config.input)
-        result = cheb(net)
+# `verify --lemma` choice -> the verifier run on the parsed arguments.
+_VERIFIERS = {
+    "1": lambda args: verify_lemma1(args.trials, args.dim, args.seed),
+    "2": lambda args: verify_lemma2(args.trials, args.n, args.seed),
+    "4": lambda args: verify_lemma4_random(args.trials, args.dim, args.seed),
+    "s1": lambda args: verify_statement1(args.trials, args.n, args.dim, args.seed),
+    "s2i": lambda args: verify_statement2(args.trials, args.dim, args.seed, part="i"),
+    "s2ii": lambda args: verify_statement2(args.trials, args.dim, args.seed, part="ii"),
+}
+
+
+def _cheb(args: argparse.Namespace) -> int:
+    result = cheb(args.input)
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "center": list(result.center.coords),
+        "radius": result.radius,
+        "support": [list(p.coords) for p in result.support],
+    }
+    _emit(_dumps(doc))
+    _summary(args, f"cheb: radius {result.radius:.12g}, |support| {len(result.support)}")
+    return 0
+
+
+def _alpha(args: argparse.Namespace) -> int:
+    value = hausdorff.alpha(args.left, args.right)
+    _emit(repr(value))
+    _summary(args, f"alpha: {value:.12g}")
+    return 0
+
+
+def _verify(args: argparse.Namespace) -> int:
+    report = _VERIFIERS[args.lemma](args)
+    if args.format == "csv":
+        _emit(
+            "lemma_id,trials,max_ratio,claimed_bound,pass\n"
+            f"{report.lemma_id},{report.trials},{report.max_ratio!r},"
+            f"{report.claimed_bound!r},{str(report.passed).lower()}"
+        )
+    else:
+        _emit(_dumps(report_to_json(report)))
+    verdict = "pass" if report.passed else "FAIL"
+    _summary(
+        args,
+        f"{report.lemma_id}: {verdict} (max ratio {report.max_ratio:.9g} vs bound {report.claimed_bound:.9g})",
+    )
+    return 0 if report.passed else 2
+
+
+def _counterexample(args: argparse.Namespace) -> int:
+    if args.hyperbolic:
+        m, w, ratio = lemma3_hyperbolic_counterexample(args.target)
+        nets = {"net_a": [hyperbolic_point_to_json(p) for p in m],
+                "net_b": [hyperbolic_point_to_json(p) for p in w]}
+    else:
+        m, w, ratio = lemma3_counterexample(args.target)
+        nets = {"net_a": net_to_json(m), "net_b": net_to_json(w)}
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "hyperbolic": args.hyperbolic,
+        "target": args.target,
+        "achieved_ratio": ratio,
+        **nets,
+    }
+    _emit(_dumps(doc))
+    _summary(args, f"counterexample: ratio {ratio:.6g} > target {args.target:g}")
+    return 0
+
+
+def _sequence(args: argparse.Namespace) -> int:
+    rows = lemma3_nonuniform_sequence(args.nmax)
+    if args.format == "json":
         doc = {
             "schema": SCHEMA_VERSION,
-            "center": list(result.center.coords),
-            "radius": result.radius,
-            "support": [list(p.coords) for p in result.support],
+            "rows": [
+                {"n": i + 1, "alpha_n": a, "displacement_n": d}
+                for i, (_, _, a, d) in enumerate(rows)
+            ],
         }
         _emit(_dumps(doc))
-        _summary(config, f"cheb: radius {result.radius:.12g}, |support| {len(result.support)}")
-        return 0
+    else:
+        lines = ["n,alpha_n,displacement_n"]
+        lines += [f"{i + 1},{a!r},{d!r}" for i, (_, _, a, d) in enumerate(rows)]
+        _emit("\n".join(lines))
+    _summary(
+        args,
+        f"sequence: alpha {rows[0][2]:.6g} -> {rows[-1][2]:.6g}, "
+        f"displacement ~ {rows[-1][3]:.6g}",
+    )
+    return 0
 
-    if cmd == "alpha":
-        left = _load_net(config.left)
-        right = _load_net(config.right)
-        value = hausdorff.alpha(left, right)
-        _emit(repr(value))
-        _summary(config, f"alpha: {value:.12g}")
-        return 0
 
-    if cmd == "verify":
-        report, key = _run_verify(config)
-        if config.fmt == "csv":
-            _emit(
-                "lemma_id,trials,max_ratio,claimed_bound,pass\n"
-                f"{report.lemma_id},{report.trials},{report.max_ratio!r},"
-                f"{report.claimed_bound!r},{str(report.passed).lower()}"
-            )
-        else:
-            _emit(_dumps(report_to_json(report)))
-        verdict = "pass" if report.passed else "FAIL"
-        _summary(
-            config,
-            f"{key}: {verdict} (max ratio {report.max_ratio:.9g} vs bound {report.claimed_bound:.9g})",
-        )
-        return 0 if report.passed else 2
-
-    if cmd == "counterexample":
-        if config.hyperbolic:
-            m, w, ratio = lemma3_hyperbolic_counterexample(config.target)
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "hyperbolic": True,
-                "target": config.target,
-                "achieved_ratio": ratio,
-                "net_a": [hyperbolic_point_to_json(p) for p in m],
-                "net_b": [hyperbolic_point_to_json(p) for p in w],
-            }
-        else:
-            m, w, ratio = lemma3_counterexample(config.target)
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "hyperbolic": False,
-                "target": config.target,
-                "achieved_ratio": ratio,
-                "net_a": net_to_json(m),
-                "net_b": net_to_json(w),
-            }
-        _emit(_dumps(doc))
-        _summary(config, f"counterexample: ratio {ratio:.6g} > target {config.target:g}")
-        return 0
-
-    if cmd == "sequence":
-        rows = lemma3_nonuniform_sequence(config.nmax)
-        if config.fmt == "json":
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "rows": [
-                    {"n": i + 1, "alpha_n": a, "displacement_n": d}
-                    for i, (_, _, a, d) in enumerate(rows)
-                ],
-            }
-            _emit(_dumps(doc))
-        else:
-            lines = ["n,alpha_n,displacement_n"]
-            lines += [f"{i + 1},{a!r},{d!r}" for i, (_, _, a, d) in enumerate(rows)]
-            _emit("\n".join(lines))
-        _summary(
-            config,
-            f"sequence: alpha {rows[0][2]:.6g} -> {rows[-1][2]:.6g}, "
-            f"displacement ~ {rows[-1][3]:.6g}",
-        )
-        return 0
-
-    if cmd == "estimate":
-        net = _load_net(config.input)
-        eps = config.epsilon if config.epsilon is not None else default_epsilon(net)
-        try:
-            spec = NeighborhoodSpec(net, eps, config.samples, config.seed)
-        except ChebnetsError as err:
-            raise _UsageError(str(err)) from err
-        sup, worst = estimate_local_lipschitz(spec)
+def _estimate(args: argparse.Namespace) -> int:
+    eps = args.epsilon if args.epsilon is not None else default_epsilon(args.input)
+    sup, worst = estimate_local_lipschitz(NeighborhoodSpec(args.input, eps, args.samples, args.seed))
+    if args.format == "csv":
+        _emit(f"epsilon,samples,sup_ratio\n{eps!r},{args.samples},{sup!r}")
+    else:
         doc = {
             "schema": SCHEMA_VERSION,
             "epsilon": eps,
-            "samples": config.samples,
+            "samples": args.samples,
             "sup_ratio": sup,
             "worst_pair": sample_to_json(worst),
         }
-        if config.fmt == "csv":
-            _emit(f"epsilon,samples,sup_ratio\n{eps!r},{config.samples},{sup!r}")
-        else:
-            _emit(_dumps(doc))
-        _summary(config, f"estimate: sup ratio {sup:.6g} over {config.samples} pairs")
-        return 0
-
-    if cmd == "suite-all":
-        doc = suite_all(config.seed, trials=config.trials, samples=config.samples)
         _emit(_dumps(doc))
-        for key in sorted(doc["reports"]):
-            _summary(config, f"{key}: {'pass' if doc['reports'][key]['pass'] else 'FAIL'}")
-        return 0 if doc["pass"] else 2
+    _summary(args, f"estimate: sup ratio {sup:.6g} over {args.samples} pairs")
+    return 0
 
-    raise _UsageError(f"unknown subcommand {cmd!r}")
+
+def _suite(args: argparse.Namespace) -> int:
+    doc = suite_all(args.seed, trials=args.trials, samples=args.samples)
+    _emit(_dumps(doc))
+    for key in sorted(doc["reports"]):
+        _summary(args, f"{key}: {'pass' if doc['reports'][key]['pass'] else 'FAIL'}")
+    return 0 if doc["pass"] else 2
+
+
+def _int_at_least(text: str, low: int, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> int:
+    """A count or dimension: an integer of at least 1."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative(text: str) -> int:
+    """A seed: an integer of at least 0."""
+    return _int_at_least(text, 0, "nonnegative")
+
+
+def _net_file(path: str) -> Net:
+    """The net stored as a JSON document in the file at `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as err:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {err.strerror}") from err
+    except json.JSONDecodeError as err:
+        raise argparse.ArgumentTypeError(f"{path}: not valid JSON ({err})") from err
+    try:
+        return net_from_json(doc)
+    except ChebnetsError as err:
+        raise argparse.ArgumentTypeError(f"{path}: {err}") from err
 
 
 class _Parser(argparse.ArgumentParser):
@@ -350,78 +320,61 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="chebnets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+    def command(name, run, what, fmt=None, **kwargs):
+        p = sub.add_parser(name, help=what, **kwargs)
+        p.set_defaults(run=run)
         p.add_argument("--quiet", action="store_true")
+        if fmt is not None:
+            p.add_argument("--format", choices=("json", "csv"), default=fmt)
+        return p
 
-    p = sub.add_parser("cheb", help="minimum enclosing ball of a net (a function of the net alone)")
-    p.add_argument("--input", required=True)
-    common(p)
+    def seed(p):
+        p.add_argument("--seed", type=_nonnegative, default=0, help="seed of the random draws")
 
-    p = sub.add_parser("alpha", help="Hausdorff distance between two nets")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    common(p)
+    p = command("cheb", _cheb, "minimum enclosing ball of a net (a function of the net alone)")
+    p.add_argument("--input", type=_net_file, required=True)
 
-    p = sub.add_parser("verify", help="run one bound verifier")
-    p.add_argument("--lemma", required=True, choices=("1", "2", "4", "s1", "s2i", "s2ii"))
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0, help="seed of the random draws")
-    common(p)
+    p = command("alpha", _alpha, "Hausdorff distance between two nets")
+    p.add_argument("--left", type=_net_file, required=True)
+    p.add_argument("--right", type=_net_file, required=True)
 
-    p = sub.add_parser("counterexample", help="blow-up witness construction")
+    p = command("verify", _verify, "run one bound verifier", fmt="json")
+    p.add_argument("--lemma", required=True, choices=_VERIFIERS)
+    p.add_argument("--trials", type=_positive, default=10_000)
+    p.add_argument("--dim", type=_positive, default=2)
+    p.add_argument("--n", type=_positive, default=3)
+    seed(p)
+
+    p = command("counterexample", _counterexample, "blow-up witness construction")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--hyperbolic", action="store_true")
-    common(p)
 
-    p = sub.add_parser("sequence", help="vanishing-alpha sequence as CSV")
+    p = command("sequence", _sequence, "vanishing-alpha sequence as CSV", fmt="csv")
     p.add_argument("--nmax", type=int, default=1000)
-    common(p)
 
-    p = sub.add_parser("estimate", help="sampled local Lipschitz estimate")
-    p.add_argument("--input", required=True)
+    p = command("estimate", _estimate, "sampled local Lipschitz estimate", fmt="json")
+    p.add_argument("--input", type=_net_file, required=True)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--samples", type=int, default=1_000)
-    p.add_argument("--seed", type=int, default=0, help="seed of the random draws")
-    common(p)
+    p.add_argument("--samples", type=_positive, default=1_000)
+    seed(p)
 
-    p = sub.add_parser("suite-all", aliases=["suite_all"], help="run the whole verifier suite")
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--samples", type=int, default=1_000)
-    p.add_argument("--seed", type=int, default=0, help="seed of the random draws")
-    common(p)
+    p = command("suite-all", _suite, "run the whole verifier suite", aliases=["suite_all"])
+    p.add_argument("--trials", type=_positive, default=10_000)
+    p.add_argument("--samples", type=_positive, default=1_000)
+    seed(p)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command.replace("suite_all", "suite-all")
-    fields = {}
-    for name in ("input", "left", "right", "lemma", "trials", "samples", "dim", "n",
-                 "seed", "target", "hyperbolic", "nmax", "epsilon", "quiet"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    fmt = getattr(args, "fmt", None)
-    default_fmt = "csv" if command == "sequence" else "json"
-    return RunConfig(command=command, fmt=fmt or default_fmt, **fields)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return run(config)
-    except _UsageError as err:
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except (_UsageError, ChebnetsError) as err:
         print(f"chebnets: error: {err}", file=sys.stderr)
         return 1
     except OSError as err:
         print(f"chebnets: i/o error: {err}", file=sys.stderr)
-        return 1
-    except ChebnetsError as err:
-        print(f"chebnets: error: {err}", file=sys.stderr)
         return 1
 
 

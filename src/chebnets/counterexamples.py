@@ -35,8 +35,8 @@ def _euclidean_family(chord: float) -> tuple[Net, Net]:
     z = (0.5 + 0.5 * math.cos(theta), 0.5 * math.sin(theta))
     nz2 = z[0] * z[0] + z[1] * z[1]
     u = (z[0] / nz2, z[1] / nz2)
-    m = Net.of([(0.0, 0.0), (1.0, 0.0), z], 3)
-    w = Net.of([(0.0, 0.0), (1.0, 0.0), u], 3)
+    m = Net.of([(0.0, 0.0), (1.0, 0.0), z])
+    w = Net.of([(0.0, 0.0), (1.0, 0.0), u])
     return m, w
 
 
@@ -89,8 +89,8 @@ def lemma3_nonuniform_sequence(n_max: int) -> list[tuple[Net, Net, float, float]
         center = ((xn[0] + y[0]) / 2.0, (xn[1] + y[1]) / 2.0)
         radius = math.dist(xn, y) / 2.0
         zn = _ray_circle_second_hit(u, xn, center, radius)
-        m = Net.of([xn, y, zn], 3)
-        z = Net.of([xn, y, u], 3)
+        m = Net.of([xn, y, zn])
+        z = Net.of([xn, y, u])
         sample = sample_pair(m, z)
         rows.append((m, z, sample.alpha_ab, sample.cheb_displacement))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,14 +49,13 @@ _COORDS = operator.attrgetter("coords")
 
 @dataclass(frozen=True)
 class Net:
-    """Unordered set of at most `capacity` pairwise-distinct points.
+    """Unordered set of pairwise-distinct points.
 
     Points are sorted lexicographically on construction, so two nets are
     equal exactly when they contain the same point set.
     """
 
     points: tuple[Point, ...]
-    capacity: int = field(default=0)
 
     def __post_init__(self):
         pts = tuple(sorted(map(_as_point, self.points), key=_COORDS))
@@ -68,15 +67,11 @@ class Net:
         for a, b in zip(pts, pts[1:]):
             if a.coords == b.coords:
                 raise DegenerateInputError(f"duplicate point {a.coords} in net")
-        capacity = self.capacity if self.capacity else len(pts)
-        if len(pts) > capacity:
-            raise DomainError(f"net has {len(pts)} points, capacity {capacity}")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "capacity", capacity)
 
     @classmethod
-    def of(cls, coords: Iterable[Sequence[float]], capacity: int = 0) -> "Net":
-        return cls(tuple(Point(tuple(c)) for c in coords), capacity)
+    def of(cls, coords: Iterable[Sequence[float]]) -> "Net":
+        return cls(tuple(Point(tuple(c)) for c in coords))
 
     @property
     def dim(self) -> int:

@@ -171,9 +171,9 @@ def _net_points(rng, size: int, dim: int) -> list[tuple[float, ...]]:
     return pts
 
 
-def random_net(rng: np.random.Generator, size: int, dim: int, capacity: int = 0) -> Net:
+def random_net(rng: np.random.Generator, size: int, dim: int) -> Net:
     """Net with i.i.d. uniform [-1, 1] coordinates and exactly-distinct points."""
-    return Net.of(_net_points(rng, size, dim), capacity or size)
+    return Net.of(_net_points(rng, size, dim))
 
 
 def _has_repeat(nets: np.ndarray) -> np.ndarray:
@@ -305,7 +305,7 @@ def perturbed_net(rng: np.random.Generator, base: Net, epsilon: float) -> Net:
     Each point stays within epsilon of its original, so the result lies in
     the open alpha-ball of radius epsilon around the base net.
     """
-    return Net.of(_perturbed_points(rng, base.coord_list(), epsilon, base.dim), base.capacity)
+    return Net.of(_perturbed_points(rng, base.coord_list(), epsilon, base.dim))
 
 
 def estimate_local_lipschitz(spec: NeighborhoodSpec) -> tuple[float, LipschitzSample]:
@@ -332,6 +332,6 @@ def estimate_local_lipschitz(spec: NeighborhoodSpec) -> tuple[float, LipschitzSa
     ])
 
     def measure(i: int) -> LipschitzSample:
-        return sample_pair(Net.of(pairs[i, 0], base.capacity), Net.of(pairs[i, 1], base.capacity))
+        return sample_pair(Net.of(pairs[i, 0]), Net.of(pairs[i, 1]))
 
     return screened_worst(*screen_ratios(pairs[:, 0], pairs[:, 1]), measure)

@@ -94,14 +94,14 @@ def _accepted(draw, trials: int, what: str) -> list[np.ndarray]:
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _sample_of(a: np.ndarray, b: np.ndarray, capacity: int = 0) -> LipschitzSample:
+def _sample_of(a: np.ndarray, b: np.ndarray) -> LipschitzSample:
     """Scalar re-measure of one screened pair of coordinate arrays."""
-    return sample_pair(Net.of(a, capacity), Net.of(b, capacity))
+    return sample_pair(Net.of(a), Net.of(b))
 
 
-def _worst_pair(a: np.ndarray, b: np.ndarray, capacity: int = 0):
+def _worst_pair(a: np.ndarray, b: np.ndarray):
     """Worst pair of a batch by displacement/alpha, re-measured (`screened_worst`)."""
-    return screened_worst(*screen_ratios(a, b), lambda i: _sample_of(a[i], b[i], capacity))
+    return screened_worst(*screen_ratios(a, b), lambda i: _sample_of(a[i], b[i]))
 
 
 def verify_lemma1(trials: int, dim: int, seed: int = 0) -> LemmaReport:
@@ -123,7 +123,7 @@ def verify_lemma1(trials: int, dim: int, seed: int = 0) -> LemmaReport:
         lower, upper = np.where(alpha > 0.0, disp / alpha, np.nan), alpha / (disp + radii)
     ratios = np.maximum(lower, upper)
     errors = np.maximum(screen_error(lower, scale, alpha), screen_error(upper, scale, disp + radii))
-    worst = screened_worst(ratios, errors, lambda i: _sample_of(a[i], b[i], 2), ratio=_lemma1_ratio)
+    worst = screened_worst(ratios, errors, lambda i: _sample_of(a[i], b[i]), ratio=_lemma1_ratio)
     return _report("L1", trials, 1.0, worst)
 
 
@@ -243,8 +243,8 @@ def verify_lemma4(u: Point, v: Point, w: Point, extensions: int, seed: int = 0) 
     zs = np.concatenate(found)
     moved = np.broadcast_to(tri, (extensions, 3, tri.shape[1])).copy()
     moved[:, 2] = zs
-    m = Net((u, v, w), 3)
-    worst = screened_worst(*screen_ratios(tri[None], moved), lambda i: sample_pair(m, Net.of(moved[i], 3)))
+    m = Net((u, v, w))
+    worst = screened_worst(*screen_ratios(tri[None], moved), lambda i: sample_pair(m, Net.of(moved[i])))
     return _report("L4", extensions, bound, worst)
 
 
@@ -292,7 +292,7 @@ def verify_statement1(trials: int, n: int, dim: int, seed: int = 0) -> LemmaRepo
     scale = np.maximum(np.abs(m).max(axis=(1, 2)), np.abs(z).max(axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(alpha > 0.0, gap / alpha, np.nan)
-    worst = screened_worst(ratios, screen_error(ratios, scale, alpha), lambda i: _sample_of(m[i], z[i], n))
+    worst = screened_worst(ratios, screen_error(ratios, scale, alpha), lambda i: _sample_of(m[i], z[i]))
     return _report("S1", trials, bound, worst)
 
 
@@ -316,7 +316,7 @@ def _disjoint_draws(draws: Draws, count: int, n: int):
     margin = gap - (radius_m + radius_z + geom_tol(gap))
     ok = margin > 0.0
     for i in np.flatnonzero(~(np.abs(margin) > TAU_SCREEN * np.maximum(1.0, gap))):
-        ball_m, ball_z = cheb(Net.of(m[i], n)), cheb(Net.of(z[i], n))
+        ball_m, ball_z = cheb(Net.of(m[i])), cheb(Net.of(z[i]))
         gap_i = distance(ball_m.center, ball_z.center)
         ok[i] = gap_i > ball_m.radius + ball_z.radius + geom_tol(gap_i)
     return (m, z, gap), ok
@@ -343,10 +343,10 @@ def verify_statement2(trials: int, dim: int, seed: int = 0, part: str = "i") -> 
     draws = Draws(np.random.default_rng(seed))
     if part == "i":
         (pts,) = _accepted(lambda count: _edge_draws(draws, count, dim), trials, "hull-contact")
-        worst = _worst_pair(pts[:, _EDGE_M], pts[:, _EDGE_Z], 3)
+        worst = _worst_pair(pts[:, _EDGE_M], pts[:, _EDGE_Z])
         return _report("S2i", trials, 1.0, worst)
     (pts,) = _accepted(lambda count: _vertex_draws(draws, count), trials, "hull-contact")
-    return _report("S2ii", trials, 2.0, _worst_pair(pts[:, _VERTEX_M], pts[:, _VERTEX_Z], 3))
+    return _report("S2ii", trials, 2.0, _worst_pair(pts[:, _VERTEX_M], pts[:, _VERTEX_Z]))
 
 
 # Rows of a shared-edge draw are u, v, w, z; of a shared-vertex draw u, v, w, q, z.
@@ -388,7 +388,7 @@ def _edge_draws(draws: Draws, count: int, dim: int):
 def _shared_edge_pair(rng: np.random.Generator, dim: int):
     """One shared-edge draw from `rng`: its net pair, or None when rejected."""
     (pts,), ok = _edge_draws(Draws(rng), 1, dim)
-    return (Net.of(pts[0, _EDGE_M], 3), Net.of(pts[0, _EDGE_Z], 3)) if ok[0] else None
+    return (Net.of(pts[0, _EDGE_M]), Net.of(pts[0, _EDGE_Z])) if ok[0] else None
 
 
 def _vertex_draws(draws: Draws, count: int):
@@ -444,7 +444,7 @@ def _vertex_draws(draws: Draws, count: int):
 def _shared_vertex_pair(rng: np.random.Generator):
     """One shared-vertex draw from `rng`: its net pair, or None when rejected."""
     (pts,), ok = _vertex_draws(Draws(rng), 1)
-    return (Net.of(pts[0, _VERTEX_M], 3), Net.of(pts[0, _VERTEX_Z], 3)) if ok[0] else None
+    return (Net.of(pts[0, _VERTEX_M]), Net.of(pts[0, _VERTEX_Z])) if ok[0] else None
 
 
 # Edge pairs of triangles (u, v, w) and (u, q, z) in a shared-vertex draw.

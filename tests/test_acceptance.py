@@ -94,7 +94,7 @@ def test_criterion_04_collinear_perturbation_bound():
     u = Point((0.0, 0.0))
     v = Point((math.cos(phi), math.sin(phi)))
     tight = sample_pair(
-        Net((u, v, Point((0.9, 0.0))), 3), Net((u, v, Point((1.1, 0.0))), 3)
+        Net((u, v, Point((0.9, 0.0)))), Net((u, v, Point((1.1, 0.0))))
     )
     bound = lemma4_constant(u, v, Point((0.9, 0.0)))
     tight_dev = abs(tight.ratio - 1 / (2 * math.sin(phi)))

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from chebnets import verifiers
-from chebnets.cli import RunConfig, main, run, suite_all
+from chebnets.cli import main, suite_all
 from chebnets.geometry import net_from_json
 
 
@@ -142,12 +142,43 @@ def test_suite_all_quick_keys_and_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_run_config_validation():
-    with pytest.raises(Exception):
-        RunConfig(command="cheb", trials=0)
+@pytest.mark.parametrize("argv", [
+    ["cheb", "--input", "{net}"],
+    ["alpha", "--left", "{net}", "--right", "{net}"],
+    ["counterexample", "--target", "10"],
+    ["suite-all", "--trials", "5", "--samples", "5"],
+])
+def test_format_rejected_where_unread(argv, net_file, capsys):
+    argv = [a.format(net=net_file) for a in argv]
+    assert main(argv + ["--format", "csv", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("chebnets: error:")
 
 
-def test_run_config_direct_dispatch(net_file, capsys):
-    config = RunConfig(command="cheb", input=net_file, quiet=True)
-    assert run(config) == 0
-    assert json.loads(capsys.readouterr().out)["radius"] == 1.0
+def test_sequence_json_and_estimate_csv(net_file, capsys):
+    assert main(["sequence", "--nmax", "5", "--format", "json", "--quiet"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == 1
+    assert [row["n"] for row in doc["rows"]] == [1, 2, 3, 4, 5]
+    assert main(["estimate", "--input", net_file, "--samples", "20", "--format", "csv", "--quiet"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "epsilon,samples,sup_ratio"
+    assert lines[1].split(",")[1] == "20"
+    assert math.isfinite(float(lines[1].split(",")[2]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--lemma", "2", "--trials", "0"],
+    ["suite-all", "--samples", "0"],
+    ["verify", "--lemma", "1", "--dim", "0"],
+    ["verify", "--lemma", "2", "--n", "0"],
+    ["verify", "--lemma", "2", "--seed", "-1"],
+    ["cheb", "--input", "{missing}"],
+])
+def test_invalid_arguments_exit_1(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "nope.json") for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("chebnets: error:")

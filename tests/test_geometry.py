@@ -93,8 +93,6 @@ def test_net_invariants():
         Net.of([(0, 0), (0, 0)])
     with pytest.raises(DimensionError):
         Net((Point((0,)), Point((0, 1))))
-    with pytest.raises(DomainError):
-        Net.of([(0, 0), (1, 1), (2, 2)], capacity=2)
     # canonical ordering makes equality set-like
     assert Net.of([(1, 0), (0, 0)]) == Net.of([(0, 0), (1, 0)])
 

@@ -144,7 +144,7 @@ def _random_net_per_point(rng, size, dim):
         p = tuple(rng.uniform(-1.0, 1.0, size=dim).tolist())
         if p not in pts:
             pts.append(p)
-    return Net.of(pts, size)
+    return Net.of(pts)
 
 
 def test_random_net_block_draw_matches_per_point_draws():

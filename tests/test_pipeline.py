@@ -52,7 +52,7 @@ def ref_points(rng, size, dim):
 
 
 def ref_net(rng, size, dim):
-    return Net.of(ref_points(rng, size, dim), size)
+    return Net.of(ref_points(rng, size, dim))
 
 
 def ref_lemma1(trials, dim, seed):
@@ -82,7 +82,7 @@ def ref_lemma4(u, v, w, extensions, seed):
     else:
         strata = [(t_w, t_w + 3.0 * span)]
     rng = np.random.default_rng(seed)
-    m = Net((u, v, w), 3)
+    m = Net((u, v, w))
     samples, stratum = [], 0
     while len(samples) < extensions:
         lo, hi = strata[stratum % len(strata)]
@@ -96,7 +96,7 @@ def ref_lemma4(u, v, w, extensions, seed):
         z = Point(tuple(a + t_z * d for a, d in zip(u.coords, unit)))
         if z.coords == v.coords or z.coords == w.coords:
             continue
-        samples.append(sample_pair(m, Net((u, v, z), 3)))
+        samples.append(sample_pair(m, Net((u, v, z))))
     return worst_of(samples)
 
 
@@ -134,7 +134,7 @@ def ref_statement1(trials, n, seed):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         shift = rng.uniform(1.0, 6.0)
         offset = (shift * math.cos(theta), shift * math.sin(theta))
-        z = Net.of([(x + offset[0], y + offset[1]) for x, y in ref_points(rng, n, 2)], n)
+        z = Net.of([(x + offset[0], y + offset[1]) for x, y in ref_points(rng, n, 2)])
         ball_m, ball_z = cheb(m), cheb(z)
         gap = distance(ball_m.center, ball_z.center)
         if gap <= ball_m.radius + ball_z.radius + geom_tol(gap):
@@ -160,7 +160,7 @@ def ref_shared_edge_pair(rng, dim):
         sv = np.linalg.svd(dirs, compute_uv=False)
         if sv[-1] <= 1e-9 * sv[0]:
             return None
-    m, z_net = Net((u, v, w), 3), Net((u, v, z), 3)
+    m, z_net = Net((u, v, w)), Net((u, v, z))
     if _angle(w, u, v) < math.pi / 2 and _angle(z, u, v) < math.pi / 2:
         if hausdorff.alpha(m, z_net) >= distance(w, z):
             return None
@@ -213,7 +213,7 @@ def ref_shared_vertex_pair(rng):
     edges2 = [(tri2[i], tri2[(i + 1) % 3]) for i in range(3)]
     if not all(segments_meet_only_at(e1, e2, u.coords, tol) for e1 in edges1 for e2 in edges2):
         return None
-    return Net((u, v, w), 3), Net((u, q, z), 3)
+    return Net((u, v, w)), Net((u, q, z))
 
 
 def ref_statement2(trials, dim, seed, part):
@@ -241,7 +241,7 @@ def ref_local(spec):
                 r = spec.epsilon * rng.random() ** (1.0 / spec.base_net.dim)
                 pts.append(tuple((p.array() + v * (r / norm)).tolist()))
             if len(set(pts)) == len(pts):
-                return Net.of(pts, spec.base_net.capacity)
+                return Net.of(pts)
 
     return worst_of(sample_pair(perturbed(), perturbed()) for _ in range(spec.sample_count))
 
@@ -368,8 +368,8 @@ def test_trial_blocks_redraw_exact_repeats_like_random_net(parts):
         first = random_net(net_stream, 3, 2)
         if len(parts) == 4:
             assert row[6:8].tolist() == [net_stream.random(), net_stream.random()]
-        assert first == Net.of(row[:6].reshape(3, 2), 3)
-        assert random_net(net_stream, 3, 2) == Net.of(row[-6:].reshape(3, 2), 3)
+        assert first == Net.of(row[:6].reshape(3, 2))
+        assert random_net(net_stream, 3, 2) == Net.of(row[-6:].reshape(3, 2))
 
 
 def test_disjoint_draw_near_its_threshold_is_decided_by_cheb(monkeypatch):

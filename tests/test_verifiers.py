@@ -80,7 +80,7 @@ def test_verify_lemma4_planted_tight_case():
     z = Point((1.1, 0.0))
     bound = lemma4_constant(u, v, w)
     assert bound == pytest.approx(1 / (2 * math.sin(phi)), rel=1e-12)
-    s = sample_pair(Net((u, v, w), 3), Net((u, v, z), 3))
+    s = sample_pair(Net((u, v, w)), Net((u, v, z)))
     assert s.ratio == pytest.approx(bound, abs=1e-6)
 
 
