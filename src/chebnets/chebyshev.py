@@ -1,17 +1,23 @@
 """Exact minimum enclosing balls (Chebyshev centers) of finite Euclidean nets.
 
 The main solver is the incremental randomized move-to-front algorithm with
-explicit support-set maintenance (Welzl 1991). Each support set costs one
-Gram solve: `_circumball` returns the ball together with the barycentric
-weights of its center, and those weights certify that the center lies in
-the support's convex hull, with no second solve. The solve is one pass: a
-point that would make a support affinely dependent is left off it (`_mtf`).
-Nets of two points and nets on the line skip the recursion: their ball is
-fixed by the lexicographic extremes (`cheb_1d`). Before the solve the
-coordinates are scaled by an exact power of two, so squared lengths neither
-overflow nor underflow and the result does not depend on the scale of the
-net. The insertion order is one cached shuffle per net size, so the result
-is a function of the net alone.
+explicit support-set maintenance (Welzl 1991), run on the first `_MTF_HEAD`
+points of the insertion order. A net of at most that many points, which
+covers every net the verifiers solve, is then done. A larger net grows the
+ball by farthest-point pivots (Gaertner, "Fast and robust smallest
+enclosing balls", ESA 1999): one numpy pass over the net finds the point
+farthest from the center, and move-to-front solves again only on the
+support plus that point. Each support set costs one Gram solve:
+`_circumball` returns the ball together with the barycentric weights of its
+center, and those weights certify that the center lies in the support's
+convex hull, with no second solve. The solve is one pass: a point that
+would make a support affinely dependent is left off it (`_mtf`). Nets of two
+points and nets on the line skip the recursion: their ball is fixed by the
+lexicographic extremes (`cheb_1d`). Before the solve the coordinates are
+scaled by an exact power of two, so squared lengths neither overflow nor
+underflow and the result does not depend on the scale of the net. The
+insertion order is one cached shuffle per net size, so the result is a
+function of the net alone.
 
 The second engine enumerates candidate support subsets
 (`_enumerated_balls`), solving the subsets of one size for a whole batch of
@@ -40,6 +46,10 @@ from .tolerances import TAU_BALL, TAU_GEOM, TAU_RANK, geom_tol
 
 _ORACLE_MAX_POINTS = 12
 _ORACLE_MAX_DIM = 6
+# `_welzl` solves this many points of the insertion order by move-to-front
+# alone; a net of at most this many points gets exactly the full
+# move-to-front result, and only larger nets take farthest-point pivots.
+_MTF_HEAD = 16
 
 
 @dataclass(frozen=True)
@@ -151,17 +161,6 @@ def _mtf(pts, order, boundary, dim):
     return center, radius, support, weights
 
 
-def _affine_weights(pts: Sequence[tuple[float, ...]], target) -> list[float]:
-    """Barycentric coordinates of `target` in the affine hull of `pts`."""
-    base = pts[0]
-    dirs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
-    m = len(pts) - 1
-    gram = [[_dot(dirs[i], dirs[j]) for j in range(m)] for i in range(m)]
-    rhs = [_dot(d, tuple(x - y for x, y in zip(target, base))) for d in dirs]
-    mu = _solve(gram, rhs)
-    return [1.0 - sum(mu)] + mu
-
-
 def _unit_scaled(pts: Sequence[tuple[float, ...]]):
     """`pts` times 2**-e, e the binary exponent of the largest absolute coordinate.
 
@@ -173,12 +172,6 @@ def _unit_scaled(pts: Sequence[tuple[float, ...]]):
     if exp:
         pts = [tuple(math.ldexp(c, -exp) for c in p) for p in pts]
     return pts, exp
-
-
-def support_barycentric(result: ChebResult) -> list[float]:
-    """Barycentric coordinates of the center with respect to the support."""
-    pts, _ = _unit_scaled([result.center.coords] + [p.coords for p in result.support])
-    return _affine_weights(pts[1:], pts[0])
 
 
 def _build_result(net: Net, center, radius, support_idx, weights, exp: int = 0) -> ChebResult:
@@ -220,17 +213,52 @@ def cheb(net: Net) -> ChebResult:
 
 
 def _welzl(net: Net) -> ChebResult:
-    """Move-to-front solve of a net of any size and dimension, in one pass.
+    """Move-to-front solve of the first `_MTF_HEAD` points, then farthest-point pivots.
+
+    The insertion order is a fixed shuffle of the net's canonical order.
+    `_mtf` solves its first `_MTF_HEAD` indices. A net of at most that many
+    points is then done, by exactly the full move-to-front solve. A larger
+    net takes pivots (Gaertner 1999): one array pass finds the point
+    farthest from the center, and while it lies outside the ball, `_mtf`
+    solves again on the support with that point on the boundary. The point
+    lies outside the ball of the support, so it lies on the sphere of the
+    new ball, and no per-point Python scan runs over the rest of the net.
+
+    In exact arithmetic each pivot grows the radius strictly: the new ball
+    encloses the old support, whose minimum enclosing ball is the old ball,
+    and a point outside it. The supports therefore never repeat, and the
+    loop ends. A pivot that does not grow the radius can only come from
+    rounding on a degenerate net, and raises DegenerateInputError instead
+    of cycling.
 
     The solve runs on the coordinates scaled by an exact power of two
     (`_unit_scaled`), so that it depends on neither the scale of the net nor
     the floating-point range; the center and radius are scaled back exactly.
-    The insertion order is a fixed shuffle of the net's canonical order.
     """
-    pts, exp = _unit_scaled(net.coord_list())
-    order = list(_insertion_order(len(pts)))
-    center, radius, support_idx, weights = _mtf(pts, order, [], net.dim)
-    return _build_result(net, center, radius, support_idx, weights, exp)
+    coords = net.coord_list()
+    order = list(_insertion_order(len(coords)))
+    if len(coords) <= _MTF_HEAD:
+        pts, exp = _unit_scaled(coords)
+        center, radius, support, weights = _mtf(pts, order, [], net.dim)
+        return _build_result(net, center, radius, support, weights, exp)
+    arr = np.array(coords, dtype=float)
+    exp = math.frexp(float(np.abs(arr).max()))[1]  # the exponent `_unit_scaled` takes
+    if exp:
+        arr = np.ldexp(arr, -exp)
+        pts = [tuple(p) for p in arr.tolist()]
+    else:
+        pts = coords
+    center, radius, support, weights = _mtf(pts, order[:_MTF_HEAD], [], net.dim)
+    while True:
+        gap = arr - center
+        d2 = np.einsum("ij,ij->i", gap, gap)
+        far = int(d2.argmax())
+        if d2[far] <= (radius * (1.0 + TAU_BALL)) ** 2:
+            return _build_result(net, center, radius, support, weights, exp)
+        grown = _mtf(pts, list(support), [far], net.dim)
+        if not grown[1] > radius:
+            raise DegenerateInputError("a pivot did not grow the enclosing ball")
+        center, radius, support, weights = grown
 
 
 def cheb_1d(net: Net) -> ChebResult:

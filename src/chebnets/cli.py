@@ -158,15 +158,19 @@ def suite_all(seed: int, trials: int = 10_000, samples: int = 1_000) -> dict:
     return {"schema": SCHEMA_VERSION, "seed": seed, "reports": reports, "pass": ok}
 
 
-# `verify --lemma` choice -> the verifier run on the parsed arguments.
+# `verify --lemma` choice -> (the sizing options it reads, the verifier run
+# on the parsed arguments). A sizing option given to a lemma that does not
+# read it is a usage error.
 _VERIFIERS = {
-    "1": lambda args: verify_lemma1(args.trials, args.dim, args.seed),
-    "2": lambda args: verify_lemma2(args.trials, args.n, args.seed),
-    "4": lambda args: verify_lemma4_random(args.trials, args.dim, args.seed),
-    "s1": lambda args: verify_statement1(args.trials, args.n, args.dim, args.seed),
-    "s2i": lambda args: verify_statement2(args.trials, args.dim, args.seed, part="i"),
-    "s2ii": lambda args: verify_statement2(args.trials, args.dim, args.seed, part="ii"),
+    "1": ({"dim"}, lambda args: verify_lemma1(args.trials, args.dim, args.seed)),
+    "2": ({"n"}, lambda args: verify_lemma2(args.trials, args.n, args.seed)),
+    "4": ({"dim"}, lambda args: verify_lemma4_random(args.trials, args.dim, args.seed)),
+    "s1": ({"n", "dim"}, lambda args: verify_statement1(args.trials, args.n, args.dim, args.seed)),
+    "s2i": ({"dim"}, lambda args: verify_statement2(args.trials, args.dim, args.seed, part="i")),
+    "s2ii": ({"dim"}, lambda args: verify_statement2(args.trials, args.dim, args.seed, part="ii")),
 }
+# Sizing option of `verify` -> its value when a lemma that reads it is not given it.
+_VERIFY_SIZES = {"dim": 2, "n": 3}
 
 
 def _cheb(args: argparse.Namespace) -> int:
@@ -190,7 +194,14 @@ def _alpha(args: argparse.Namespace) -> int:
 
 
 def _verify(args: argparse.Namespace) -> int:
-    report = _VERIFIERS[args.lemma](args)
+    reads, run = _VERIFIERS[args.lemma]
+    for option, default in _VERIFY_SIZES.items():
+        if option in reads:
+            if getattr(args, option) is None:
+                setattr(args, option, default)
+        elif getattr(args, option) is not None:
+            raise _UsageError(f"verify --lemma {args.lemma} does not read --{option}")
+    report = run(args)
     if args.format == "csv":
         _emit(
             "lemma_id,trials,max_ratio,claimed_bound,pass\n"
@@ -341,8 +352,8 @@ def _build_parser() -> _Parser:
     p = command("verify", _verify, "run one bound verifier", fmt="json")
     p.add_argument("--lemma", required=True, choices=_VERIFIERS)
     p.add_argument("--trials", type=_positive, default=10_000)
-    p.add_argument("--dim", type=_positive, default=2)
-    p.add_argument("--n", type=_positive, default=3)
+    p.add_argument("--dim", type=_positive, help="dimension; lemmas 1, 4, s1, s2i, s2ii (default 2)")
+    p.add_argument("--n", type=_positive, help="net size; lemmas 2 and s1 (default 3)")
     seed(p)
 
     p = command("counterexample", _counterexample, "blow-up witness construction")

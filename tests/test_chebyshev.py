@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from chebnets import chebyshev
 from chebnets.chebyshev import (
     ChebResult,
-    _affine_weights,
     _circumball,
     _welzl,
     cheb,
     cheb_1d,
     cheb_batch,
     cheb_oracle,
-    support_barycentric,
 )
 from chebnets.errors import DegenerateInputError, DimensionError, OracleBudgetError
 from chebnets.geometry import Net, Point, distance
 from chebnets.tolerances import TAU_GEOM, geom_tol
+from meb_helpers import _affine_weights, support_barycentric
 
 
 def random_net(rng, size, dim):
@@ -472,3 +471,97 @@ def test_batch_kernel_batches_like_single_nets():
     for net, center, radius in zip(nets, centers, radii):
         c1, r1 = cheb_batch(net[None])
         assert np.abs(c1[0] - center).max() <= 1e-15 and abs(r1[0] - radius) <= 1e-15
+
+
+def full_order_mtf(net: Net) -> ChebResult:
+    """Move-to-front over the whole insertion order, with no pivots."""
+    pts, exp = chebyshev._unit_scaled(net.coord_list())
+    order = list(chebyshev._insertion_order(len(pts)))
+    center, radius, support, weights = chebyshev._mtf(pts, order, [], net.dim)
+    return chebyshev._build_result(net, center, radius, support, weights, exp)
+
+
+def pivot_nets(rng):
+    """Nets of more than `_MTF_HEAD` points: random, cospherical, grids, flats, twins."""
+    for dim in range(2, 7):
+        for _ in range(4):
+            yield random_net(rng, int(rng.integers(17, 300)), dim)
+    angles = [2.0 * math.pi * j / 360 for j in range(360)]
+    yield Net.of([(math.cos(a), math.sin(a)) for a in angles])
+    for dim in (3, 4):
+        v = rng.normal(size=(120, dim))
+        yield Net.of((2.0 * v / np.linalg.norm(v, axis=1)[:, None] + 1.0).tolist())
+    for dim, side in ((2, 5), (3, 3), (4, 3)):
+        grid = np.array(np.meshgrid(*[np.arange(side)] * dim)).reshape(dim, -1).T.astype(float)
+        for scale, shift in ((1.0, 0.0), (1.0, 1e3), (1e-200, 0.0)):
+            yield Net.of((grid * scale + shift).tolist())
+    for flat in (1, 3):
+        basis, origin = rng.normal(size=(flat, 6)), rng.normal(size=6)
+        yield Net.of((rng.uniform(-1, 1, (60, flat)) @ basis + origin).tolist())
+    for gap in (1e-11, 1e-9, 1e-7):
+        for dim in (2, 3, 4):
+            base = rng.uniform(-1, 1, (int(rng.integers(9, 40)), dim))
+            twins = base + gap * rng.normal(size=base.shape) / math.sqrt(dim)
+            yield Net.of(np.vstack([base, twins]).tolist())
+
+
+def test_pivots_agree_with_full_move_to_front():
+    rng = np.random.default_rng(37)
+    for net in pivot_nets(rng):
+        assert len(net) > chebyshev._MTF_HEAD
+        result = cheb(net)
+        assert_valid(result, net)
+        assert result.radius == pytest.approx(full_order_mtf(net).radius, rel=1e-12)
+
+
+def test_nets_within_the_head_equal_full_move_to_front_bitwise():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        net = random_net(rng, int(rng.integers(3, chebyshev._MTF_HEAD + 1)), int(rng.integers(2, 7)))
+        assert _welzl(net) == full_order_mtf(net)
+    for coords in (RETRY_NET, NEAR_DUPLICATE_NET):
+        assert _welzl(Net.of(coords)) == full_order_mtf(Net.of(coords))
+
+
+def test_pivot_path_is_reached(monkeypatch):
+    mtf, depth, top_level = chebyshev._mtf, [0], []
+
+    def counting_mtf(pts, order, boundary, dim):
+        if not depth[0]:
+            top_level.append(list(boundary))
+        depth[0] += 1
+        try:
+            return mtf(pts, order, boundary, dim)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(chebyshev, "_mtf", counting_mtf)
+    rng = np.random.default_rng(47)
+    cheb(random_net(rng, chebyshev._MTF_HEAD, 3))
+    assert top_level == [[]]  # the head is the whole net: no pivot
+    top_level.clear()
+    net = random_net(rng, 500, 3)
+    assert_valid(cheb(net), net)
+    # one head solve, then one solve per pivot with the farthest point on the boundary
+    assert top_level[0] == [] and len(top_level) > 1
+    assert all(len(boundary) == 1 for boundary in top_level[1:])
+
+
+def test_pivot_that_does_not_grow_the_ball_raises(monkeypatch):
+    mtf, depth, head = chebyshev._mtf, [0], []
+
+    def stalling_mtf(pts, order, boundary, dim):
+        if not depth[0] and head:
+            return head[0]  # a pivot solve that leaves the ball as it was
+        depth[0] += 1
+        try:
+            ball = mtf(pts, order, boundary, dim)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            head.append(ball)
+        return ball
+
+    monkeypatch.setattr(chebyshev, "_mtf", stalling_mtf)
+    with pytest.raises(DegenerateInputError):
+        cheb(random_net(np.random.default_rng(53), 500, 3))

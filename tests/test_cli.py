@@ -182,3 +182,28 @@ def test_invalid_arguments_exit_1(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("chebnets: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--lemma", "2", "--dim", "7"],
+    ["verify", "--lemma", "1", "--n", "9"],
+    ["verify", "--lemma", "4", "--n", "4"],
+    ["verify", "--lemma", "s2i", "--n", "4"],
+    ["verify", "--lemma", "s2ii", "--n", "4"],
+])
+def test_verify_rejects_sizes_the_lemma_ignores(argv, capsys):
+    assert main(argv + ["--trials", "5", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("chebnets: error:")
+
+
+def test_verify_reads_sizes_of_statement1(capsys):
+    argv = ["verify", "--lemma", "s1", "--trials", "20", "--seed", "2", "--quiet"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--n", "3", "--dim", "2"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(argv + ["--n", "4"]) == 0
+    worst = json.loads(capsys.readouterr().out)["worst_sample"]
+    assert len(worst["net_a"]["points"]) == 4
