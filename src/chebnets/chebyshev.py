@@ -2,12 +2,12 @@
 
 The main solver is the incremental randomized move-to-front algorithm with
 explicit support-set maintenance (Welzl 1991), run on the first `_MTF_HEAD`
-points of the insertion order. A net of at most that many points, which
-covers every net the verifiers solve, is then done. A larger net grows the
-ball by farthest-point pivots (Gaertner, "Fast and robust smallest
-enclosing balls", ESA 1999): one numpy pass over the net finds the point
-farthest from the center, and move-to-front solves again only on the
-support plus that point. Each support set costs one Gram solve:
+points of the insertion order. The ball then grows by farthest-point
+pivots (Gaertner, "Fast and robust smallest enclosing balls", ESA 1999):
+one numpy pass over the net finds the point farthest from the center, and
+move-to-front solves again only on the support plus that point. A net of
+at most `_MTF_HEAD` points, which covers every net the verifiers solve,
+needs no pivot. Each support set costs one Gram solve:
 `_circumball` returns the ball together with the barycentric weights of its
 center, and those weights certify that the center lies in the support's
 convex hull, with no second solve. The solve is one pass: a point that
@@ -47,8 +47,8 @@ from .tolerances import TAU_BALL, TAU_GEOM, TAU_RANK, geom_tol
 _ORACLE_MAX_POINTS = 12
 _ORACLE_MAX_DIM = 6
 # `_welzl` solves this many points of the insertion order by move-to-front
-# alone; a net of at most this many points gets exactly the full
-# move-to-front result, and only larger nets take farthest-point pivots.
+# before its farthest-point pivots; a net of at most this many points is
+# all head, takes no pivot pass, and gets the full move-to-front result.
 _MTF_HEAD = 16
 
 
@@ -164,14 +164,18 @@ def _mtf(pts, order, boundary, dim):
 def _unit_scaled(pts: Sequence[tuple[float, ...]]):
     """`pts` times 2**-e, e the binary exponent of the largest absolute coordinate.
 
-    Returns (scaled points, e). The scaled coordinates are at most 1 in
-    absolute value, so Gram entries neither overflow nor underflow; scaling
-    by a power of two is exact, so results scale back with math.ldexp.
+    Returns (scaled array, scaled points, e); the points are the rows of the
+    array as tuples, and `pts` itself when e is 0. The scaled coordinates
+    are at most 1 in absolute value, so Gram entries neither overflow nor
+    underflow; scaling by a power of two is exact, so results scale back
+    with math.ldexp.
     """
-    exp = math.frexp(max(max(map(abs, p)) for p in pts))[1]
+    arr = np.array(pts, dtype=float)
+    exp = math.frexp(float(np.abs(arr).max()))[1]
     if exp:
-        pts = [tuple(math.ldexp(c, -exp) for c in p) for p in pts]
-    return pts, exp
+        arr = np.ldexp(arr, -exp)
+        pts = [tuple(p) for p in arr.tolist()]
+    return arr, pts, exp
 
 
 def _build_result(net: Net, center, radius, support_idx, weights, exp: int = 0) -> ChebResult:
@@ -217,9 +221,28 @@ def _welzl(net: Net) -> ChebResult:
 
     The insertion order is a fixed shuffle of the net's canonical order.
     `_mtf` solves its first `_MTF_HEAD` indices. A net of at most that many
-    points is then done, by exactly the full move-to-front solve. A larger
-    net takes pivots (Gaertner 1999): one array pass finds the point
-    farthest from the center, and while it lies outside the ball, `_mtf`
+    points is all head: `_mtf` has checked each of its points, so the
+    result is the full move-to-front solve's. A larger net grows the ball
+    by pivots (`_pivots`).
+
+    The solve runs on the coordinates scaled by an exact power of two
+    (`_unit_scaled`), so that it depends on neither the scale of the net nor
+    the floating-point range; the center and radius are scaled back exactly.
+    """
+    arr, pts, exp = _unit_scaled(net.coord_list())
+    ball = _mtf(pts, list(_insertion_order(len(pts))[:_MTF_HEAD]), [], net.dim)
+    if len(pts) > _MTF_HEAD:
+        # Only here: on a net within the head the pass finds nothing, and its
+        # numpy calls made small solves about 7% slower.
+        ball = _pivots(arr, pts, ball, net.dim)
+    return _build_result(net, *ball, exp)
+
+
+def _pivots(arr: np.ndarray, pts, ball, dim: int):
+    """Grow a move-to-front `ball` over part of `pts` until it encloses all of them.
+
+    `arr` holds `pts` as rows. One array pass finds the point farthest from
+    the center (Gaertner 1999), and while it lies outside the ball, `_mtf`
     solves again on the support with that point on the boundary. The point
     lies outside the ball of the support, so it lies on the sphere of the
     new ball, and no per-point Python scan runs over the rest of the net.
@@ -230,35 +253,18 @@ def _welzl(net: Net) -> ChebResult:
     loop ends. A pivot that does not grow the radius can only come from
     rounding on a degenerate net, and raises DegenerateInputError instead
     of cycling.
-
-    The solve runs on the coordinates scaled by an exact power of two
-    (`_unit_scaled`), so that it depends on neither the scale of the net nor
-    the floating-point range; the center and radius are scaled back exactly.
     """
-    coords = net.coord_list()
-    order = list(_insertion_order(len(coords)))
-    if len(coords) <= _MTF_HEAD:
-        pts, exp = _unit_scaled(coords)
-        center, radius, support, weights = _mtf(pts, order, [], net.dim)
-        return _build_result(net, center, radius, support, weights, exp)
-    arr = np.array(coords, dtype=float)
-    exp = math.frexp(float(np.abs(arr).max()))[1]  # the exponent `_unit_scaled` takes
-    if exp:
-        arr = np.ldexp(arr, -exp)
-        pts = [tuple(p) for p in arr.tolist()]
-    else:
-        pts = coords
-    center, radius, support, weights = _mtf(pts, order[:_MTF_HEAD], [], net.dim)
+    center, radius, support, _ = ball
     while True:
         gap = arr - center
         d2 = np.einsum("ij,ij->i", gap, gap)
         far = int(d2.argmax())
         if d2[far] <= (radius * (1.0 + TAU_BALL)) ** 2:
-            return _build_result(net, center, radius, support, weights, exp)
-        grown = _mtf(pts, list(support), [far], net.dim)
-        if not grown[1] > radius:
+            return ball
+        ball = _mtf(pts, list(support), [far], dim)
+        if not ball[1] > radius:
             raise DegenerateInputError("a pivot did not grow the enclosing ball")
-        center, radius, support, weights = grown
+        center, radius, support, _ = ball
 
 
 def cheb_1d(net: Net) -> ChebResult:

@@ -12,6 +12,7 @@ byte-identical for identical (config, seed) on one platform.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -158,19 +159,29 @@ def suite_all(seed: int, trials: int = 10_000, samples: int = 1_000) -> dict:
     return {"schema": SCHEMA_VERSION, "seed": seed, "reports": reports, "pass": ok}
 
 
-# `verify --lemma` choice -> (the sizing options it reads, the verifier run
-# on the parsed arguments). A sizing option given to a lemma that does not
-# read it is a usage error.
+# `verify --lemma` choice -> the verifier, called with the trials, the seed
+# and the sizing options it takes as parameters. A sizing option given to a
+# lemma whose verifier does not take it is a usage error.
 _VERIFIERS = {
-    "1": ({"dim"}, lambda args: verify_lemma1(args.trials, args.dim, args.seed)),
-    "2": ({"n"}, lambda args: verify_lemma2(args.trials, args.n, args.seed)),
-    "4": ({"dim"}, lambda args: verify_lemma4_random(args.trials, args.dim, args.seed)),
-    "s1": ({"n", "dim"}, lambda args: verify_statement1(args.trials, args.n, args.dim, args.seed)),
-    "s2i": ({"dim"}, lambda args: verify_statement2(args.trials, args.dim, args.seed, part="i")),
-    "s2ii": ({"dim"}, lambda args: verify_statement2(args.trials, args.dim, args.seed, part="ii")),
+    "1": lambda trials, seed, dim: verify_lemma1(trials, dim, seed),
+    "2": lambda trials, seed, n: verify_lemma2(trials, n, seed),
+    "4": lambda trials, seed, dim: verify_lemma4_random(trials, dim, seed),
+    "s1": lambda trials, seed, n, dim: verify_statement1(trials, n, dim, seed),
+    "s2i": lambda trials, seed, dim: verify_statement2(trials, dim, seed, part="i"),
+    "s2ii": lambda trials, seed, dim: verify_statement2(trials, dim, seed, part="ii"),
 }
 # Sizing option of `verify` -> its value when a lemma that reads it is not given it.
 _VERIFY_SIZES = {"dim": 2, "n": 3}
+
+
+def _reads(lemma: str) -> set[str]:
+    """The sizing options that the verifier of `lemma` reads."""
+    return set(inspect.signature(_VERIFIERS[lemma]).parameters) & set(_VERIFY_SIZES)
+
+
+def _size_help(option: str, what: str) -> str:
+    lemmas = ", ".join(lemma for lemma in _VERIFIERS if option in _reads(lemma))
+    return f"{what}; lemmas {lemmas} (default {_VERIFY_SIZES[option]})"
 
 
 def _cheb(args: argparse.Namespace) -> int:
@@ -194,14 +205,14 @@ def _alpha(args: argparse.Namespace) -> int:
 
 
 def _verify(args: argparse.Namespace) -> int:
-    reads, run = _VERIFIERS[args.lemma]
+    reads, sizes = _reads(args.lemma), {}
     for option, default in _VERIFY_SIZES.items():
+        value = getattr(args, option)
         if option in reads:
-            if getattr(args, option) is None:
-                setattr(args, option, default)
-        elif getattr(args, option) is not None:
+            sizes[option] = default if value is None else value
+        elif value is not None:
             raise _UsageError(f"verify --lemma {args.lemma} does not read --{option}")
-    report = run(args)
+    report = _VERIFIERS[args.lemma](args.trials, args.seed, **sizes)
     if args.format == "csv":
         _emit(
             "lemma_id,trials,max_ratio,claimed_bound,pass\n"
@@ -352,8 +363,8 @@ def _build_parser() -> _Parser:
     p = command("verify", _verify, "run one bound verifier", fmt="json")
     p.add_argument("--lemma", required=True, choices=_VERIFIERS)
     p.add_argument("--trials", type=_positive, default=10_000)
-    p.add_argument("--dim", type=_positive, help="dimension; lemmas 1, 4, s1, s2i, s2ii (default 2)")
-    p.add_argument("--n", type=_positive, help="net size; lemmas 2 and s1 (default 3)")
+    p.add_argument("--dim", type=_positive, help=_size_help("dim", "dimension"))
+    p.add_argument("--n", type=_positive, help=_size_help("n", "net size"))
     seed(p)
 
     p = command("counterexample", _counterexample, "blow-up witness construction")

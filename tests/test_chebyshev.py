@@ -475,7 +475,7 @@ def test_batch_kernel_batches_like_single_nets():
 
 def full_order_mtf(net: Net) -> ChebResult:
     """Move-to-front over the whole insertion order, with no pivots."""
-    pts, exp = chebyshev._unit_scaled(net.coord_list())
+    _, pts, exp = chebyshev._unit_scaled(net.coord_list())
     order = list(chebyshev._insertion_order(len(pts)))
     center, radius, support, weights = chebyshev._mtf(pts, order, [], net.dim)
     return chebyshev._build_result(net, center, radius, support, weights, exp)
