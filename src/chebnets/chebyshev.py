@@ -1,13 +1,14 @@
 """Exact minimum enclosing balls (Chebyshev centers) of finite Euclidean nets.
 
-The main solver is the incremental randomized move-to-front algorithm with
-explicit support-set maintenance (Welzl 1991), run on the first `_MTF_HEAD`
-points of the insertion order. The ball then grows by farthest-point
-pivots (Gaertner, "Fast and robust smallest enclosing balls", ESA 1999):
-one numpy pass over the net finds the point farthest from the center, and
-move-to-front solves again only on the support plus that point. A net of
-at most `_MTF_HEAD` points, which covers every net the verifiers solve,
-needs no pivot. Each support set costs one Gram solve:
+The main solver reads the net's sorted coordinate array (`Net.array`). A
+net of at most `_MTF_HEAD` points, which covers every net the verifiers
+solve, goes to the incremental randomized move-to-front algorithm with
+explicit support-set maintenance (Welzl 1991). A larger net starts from a
+one-point ball that grows by farthest-point pivots (Gaertner, "Fast and
+robust smallest enclosing balls", ESA 1999): one numpy pass over the net
+finds the point farthest from the center, and move-to-front solves again
+only on the support plus that point, so only those rows become tuples.
+Each support set costs one Gram solve:
 `_circumball` returns the ball together with the barycentric weights of its
 center, and those weights certify that the center lies in the support's
 convex hull, with no second solve. The solve is one pass: a point that
@@ -16,8 +17,9 @@ points and nets on the line skip the recursion: their ball is fixed by the
 lexicographic extremes (`cheb_1d`). Before the solve the coordinates are
 scaled by an exact power of two, so squared lengths neither overflow nor
 underflow and the result does not depend on the scale of the net. The
-insertion order is one cached shuffle per net size, so the result is a
-function of the net alone.
+insertion order is one cached shuffle per net size, and the pivots start
+from the net's first row, so the result is a function of the net alone.
+`Point`s are built only for the center and the support of the result.
 
 The second engine enumerates candidate support subsets
 (`_enumerated_balls`), solving the subsets of one size for a whole batch of
@@ -46,9 +48,8 @@ from .tolerances import TAU_BALL, TAU_GEOM, TAU_RANK, geom_tol
 
 _ORACLE_MAX_POINTS = 12
 _ORACLE_MAX_DIM = 6
-# `_welzl` solves this many points of the insertion order by move-to-front
-# before its farthest-point pivots; a net of at most this many points is
-# all head, takes no pivot pass, and gets the full move-to-front result.
+# `_welzl` solves a net of at most this many points by move-to-front over
+# the whole insertion order, and a larger net by farthest-point pivots.
 _MTF_HEAD = 16
 
 
@@ -161,21 +162,19 @@ def _mtf(pts, order, boundary, dim):
     return center, radius, support, weights
 
 
-def _unit_scaled(pts: Sequence[tuple[float, ...]]):
-    """`pts` times 2**-e, e the binary exponent of the largest absolute coordinate.
+def _unit_scaled(rows: Sequence[Sequence[float]]) -> tuple[list[tuple[float, ...]], int]:
+    """`rows` times 2**-e as tuples, e the binary exponent of the largest absolute coordinate.
 
-    Returns (scaled array, scaled points, e); the points are the rows of the
-    array as tuples, and `pts` itself when e is 0. The scaled coordinates
-    are at most 1 in absolute value, so Gram entries neither overflow nor
-    underflow; scaling by a power of two is exact, so results scale back
-    with math.ldexp.
+    Returns (scaled points, e). The scaled coordinates are at most 1 in
+    absolute value, so Gram entries neither overflow nor underflow; scaling
+    by a power of two is exact, so results scale back with math.ldexp. This
+    is the pure-Python form for small nets; `math.ldexp` gives the values
+    that `np.ldexp` gives on the pivot path.
     """
-    arr = np.array(pts, dtype=float)
-    exp = math.frexp(float(np.abs(arr).max()))[1]
+    exp = math.frexp(max(map(abs, itertools.chain.from_iterable(rows))))[1]
     if exp:
-        arr = np.ldexp(arr, -exp)
-        pts = [tuple(p) for p in arr.tolist()]
-    return arr, pts, exp
+        return [tuple(math.ldexp(c, -exp) for c in row) for row in rows], exp
+    return [tuple(row) for row in rows], exp
 
 
 def _build_result(net: Net, center, radius, support_idx, weights, exp: int = 0) -> ChebResult:
@@ -189,7 +188,8 @@ def _build_result(net: Net, center, radius, support_idx, weights, exp: int = 0) 
     if exp:
         center = tuple(math.ldexp(c, exp) for c in center)
         radius = math.ldexp(radius, exp)
-    support = tuple(net.points[i] for i in sorted(support_idx))
+    arr = net.array  # a row at a time: fancy indexing costs more on a few rows
+    support = tuple(Point(tuple(arr[i].tolist())) for i in sorted(support_idx))
     return ChebResult(Point(center), radius, support)
 
 
@@ -206,7 +206,8 @@ def cheb(net: Net) -> ChebResult:
 
     A singleton is its own ball. Two-point nets and nets on the line take
     the closed form of `cheb_1d`, which equals the move-to-front result
-    bitwise. Every other net goes to the move-to-front solve (`_welzl`).
+    bitwise. Every other net goes to `_welzl`: move-to-front on at most
+    `_MTF_HEAD` points, farthest-point pivots on more.
     """
     n = len(net)
     if n == 1:
@@ -217,35 +218,38 @@ def cheb(net: Net) -> ChebResult:
 
 
 def _welzl(net: Net) -> ChebResult:
-    """Move-to-front solve of the first `_MTF_HEAD` points, then farthest-point pivots.
+    """Move-to-front solve of a net of at most `_MTF_HEAD` points, pivots beyond.
 
-    The insertion order is a fixed shuffle of the net's canonical order.
-    `_mtf` solves its first `_MTF_HEAD` indices. A net of at most that many
-    points is all head: `_mtf` has checked each of its points, so the
-    result is the full move-to-front solve's. A larger net grows the ball
-    by pivots (`_pivots`).
+    A small net's rows are scaled in pure Python (`_unit_scaled`), which
+    costs less than numpy's per-call overhead on a few points, and `_mtf`
+    runs over its whole insertion order, a fixed shuffle of the net's
+    canonical order. A larger net is scaled as one array and solved by
+    farthest-point pivots from its first row (`_pivots`).
 
-    The solve runs on the coordinates scaled by an exact power of two
-    (`_unit_scaled`), so that it depends on neither the scale of the net nor
-    the floating-point range; the center and radius are scaled back exactly.
+    Either way the solve runs on the coordinates scaled by an exact power of
+    two, so that it depends on neither the scale of the net nor the
+    floating-point range; the center and radius are scaled back exactly.
     """
-    arr, pts, exp = _unit_scaled(net.coord_list())
-    ball = _mtf(pts, list(_insertion_order(len(pts))[:_MTF_HEAD]), [], net.dim)
-    if len(pts) > _MTF_HEAD:
-        # Only here: on a net within the head the pass finds nothing, and its
-        # numpy calls made small solves about 7% slower.
-        ball = _pivots(arr, pts, ball, net.dim)
+    n, dim = net.array.shape
+    if n <= _MTF_HEAD:
+        pts, exp = _unit_scaled(net.array.tolist())
+        ball = _mtf(pts, list(_insertion_order(n)), [], dim)
+    else:
+        exp = math.frexp(float(np.abs(net.array).max()))[1]
+        ball = _pivots(np.ldexp(net.array, -exp) if exp else net.array)
     return _build_result(net, *ball, exp)
 
 
-def _pivots(arr: np.ndarray, pts, ball, dim: int):
-    """Grow a move-to-front `ball` over part of `pts` until it encloses all of them.
+def _pivots(arr: np.ndarray):
+    """Minimum enclosing ball of the rows of `arr`, grown from its first row by pivots.
 
-    `arr` holds `pts` as rows. One array pass finds the point farthest from
-    the center (Gaertner 1999), and while it lies outside the ball, `_mtf`
-    solves again on the support with that point on the boundary. The point
-    lies outside the ball of the support, so it lies on the sphere of the
-    new ball, and no per-point Python scan runs over the rest of the net.
+    Returns the ball as `_mtf` does, with support indices into `arr`. One
+    array pass finds the row farthest from the center (Gaertner 1999), and
+    while it lies outside the ball, `_mtf` solves again on the support with
+    that row on the boundary. The row lies outside the ball of the support,
+    so it lies on the sphere of the new ball. Only the rows of the support
+    and the pivot become tuples, and no per-point Python scan runs over the
+    rest of the net.
 
     In exact arithmetic each pivot grows the radius strictly: the new ball
     encloses the old support, whose minimum enclosing ball is the old ball,
@@ -254,17 +258,20 @@ def _pivots(arr: np.ndarray, pts, ball, dim: int):
     rounding on a degenerate net, and raises DegenerateInputError instead
     of cycling.
     """
-    center, radius, support, _ = ball
+    center, radius, support, weights = tuple(arr[0].tolist()), 0.0, (0,), (1.0,)
     while True:
         gap = arr - center
         d2 = np.einsum("ij,ij->i", gap, gap)
         far = int(d2.argmax())
         if d2[far] <= (radius * (1.0 + TAU_BALL)) ** 2:
-            return ball
-        ball = _mtf(pts, list(support), [far], dim)
+            return center, radius, support, weights
+        rows = support + (far,)
+        pts = list(map(tuple, arr[list(rows)].tolist()))
+        ball = _mtf(pts, list(range(len(support))), [len(support)], arr.shape[1])
         if not ball[1] > radius:
             raise DegenerateInputError("a pivot did not grow the enclosing ball")
-        center, radius, support, _ = ball
+        center, radius, local, weights = ball
+        support = tuple(rows[i] for i in local)
 
 
 def cheb_1d(net: Net) -> ChebResult:
@@ -276,12 +283,11 @@ def cheb_1d(net: Net) -> ChebResult:
     """
     if net.dim != 1 and len(net) != 2:
         raise DimensionError(f"cheb_1d requires dim 1 or two points, got dim {net.dim}")
-    pts = net.points
-    lo, hi = pts[0], pts[-1]
-    if lo.coords == hi.coords:
-        return ChebResult(lo, 0.0, (lo,))
-    center, radius, _ = _circumball([lo.coords, hi.coords])
-    return ChebResult(Point(center), radius, (lo, hi))
+    if len(net) == 1:
+        return ChebResult(net.points[0], 0.0, net.points)
+    lo, hi = tuple(net.array[0].tolist()), tuple(net.array[-1].tolist())
+    center, radius, _ = _circumball([lo, hi])
+    return ChebResult(Point(center), radius, (Point(lo), Point(hi)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -428,7 +434,7 @@ def cheb_oracle(net: Net) -> ChebResult:
         )
     if n == 1:
         return ChebResult(net.points[0], 0.0, (net.points[0],))
-    centers, radii, support, weights = _enumerated_balls(np.array(net.coord_list())[None])
+    centers, radii, support, weights = _enumerated_balls(net.array[None])
     if not np.isfinite(radii[0]):
         raise DegenerateInputError("oracle found no covering candidate ball")
     size = int((support[0] >= 0).sum())

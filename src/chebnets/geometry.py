@@ -1,15 +1,17 @@
 """Euclidean points and nets, their distances and their JSON form.
 
-Points are plain value records; a net is an unordered finite set of distinct
-points, stored lexicographically sorted so net equality is canonical.
-Distinctness is exact coordinate equality on purpose: membership of a net in
-the "exactly N points" class must never depend on a tolerance.
+Points are plain value records. A net is an unordered finite set of
+distinct points, held once as a read-only `(n, d)` float array whose rows
+are sorted lexicographically, so net equality is canonical; its `Point`s
+are built only when a caller asks for them (`Net.points`). Distinctness is
+exact coordinate equality on purpose: membership of a net in the "exactly
+N points" class must never depend on a tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,55 +38,81 @@ class Point:
     def dim(self) -> int:
         return len(self.coords)
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
 
-
-def _as_point(p) -> Point:
-    return p if isinstance(p, Point) else Point(tuple(p))
-
-
-_COORDS = operator.attrgetter("coords")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Net:
     """Unordered set of pairwise-distinct points.
 
-    Points are sorted lexicographically on construction, so two nets are
-    equal exactly when they contain the same point set.
+    `array` may be given as an array or as rows (sequences or `Point`s); it
+    is stored as a read-only float array with its rows in lexicographic
+    order, the order of `sorted` on the coordinate tuples. Two nets are
+    equal exactly when they contain the same point set; -0.0 and 0.0 count
+    as equal coordinates, as they do in tuple comparison.
     """
 
-    points: tuple[Point, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(sorted(map(_as_point, self.points), key=_COORDS))
-        if not pts:
+        rows = self.array
+        if not isinstance(rows, np.ndarray):
+            rows = [p.coords if isinstance(p, Point) else p for p in rows]
+        try:
+            arr = np.asarray(rows, dtype=float)
+        except ValueError:
+            if len({np.shape(row) for row in rows}) > 1:
+                raise DimensionError("all points of a net must share one dimension") from None
+            raise
+        if not len(arr):
             raise DomainError("a net must contain at least one point")
-        dim = pts[0].dim
-        if any(p.dim != dim for p in pts):
-            raise DimensionError("all points of a net must share one dimension")
-        for a, b in zip(pts, pts[1:]):
-            if a.coords == b.coords:
-                raise DegenerateInputError(f"duplicate point {a.coords} in net")
-        object.__setattr__(self, "points", pts)
+        if arr.ndim != 2:
+            raise DimensionError(f"a net needs rows of coordinates, got shape {arr.shape}")
+        if not arr.shape[1]:
+            raise DimensionError("a point needs at least one coordinate")
+        if not np.isfinite(arr).all():
+            raise DomainError("non-finite coordinate in net")
+        # lexsort's last key is its primary one; the fancy index copies, so
+        # the net never shares memory with its input.
+        arr = arr[np.lexsort(arr.T[::-1])]
+        # Lists compare as tuples do (-0.0 equals 0.0); on the few rows of
+        # most nets this costs less than numpy's three calls.
+        rows = arr.tolist()
+        for a, b in zip(rows, rows[1:]):
+            if a == b:
+                raise DegenerateInputError(f"duplicate point {tuple(a)} in net")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     @classmethod
     def of(cls, coords: Iterable[Sequence[float]]) -> "Net":
-        return cls(tuple(Point(tuple(c)) for c in coords))
+        return cls(coords)
+
+    @functools.cached_property
+    def points(self) -> tuple[Point, ...]:
+        """The rows as `Point`s, built on first use."""
+        return tuple(Point(tuple(row)) for row in self.array.tolist())
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return self.array.shape[1]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.array)
 
     def __iter__(self):
         return iter(self.points)
 
+    def __eq__(self, other):
+        if not isinstance(other, Net):
+            return NotImplemented
+        return self.array.shape == other.array.shape and bool((self.array == other.array).all())
+
+    def __hash__(self) -> int:
+        # Adding 0.0 turns -0.0 into 0.0, so equal nets hash equal.
+        return hash((self.array.shape, (self.array + 0.0).tobytes()))
+
     def coord_list(self) -> list[tuple[float, ...]]:
-        return [p.coords for p in self.points]
+        """The rows as coordinate tuples: `math.dist` converts any other sequence to a tuple."""
+        return list(map(tuple, self.array.tolist()))
 
 
 def distance(a: Point, b: Point) -> float:
@@ -96,11 +124,11 @@ def distance(a: Point, b: Point) -> float:
 
 def diameter(net: Net) -> float:
     """Largest pairwise distance; 0 for a singleton."""
-    pts = net.points
+    pts = net.coord_list()
     best = 0.0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d = math.dist(pts[i].coords, pts[j].coords)
+            d = math.dist(pts[i], pts[j])
             if d > best:
                 best = d
     return best
@@ -108,7 +136,7 @@ def diameter(net: Net) -> float:
 
 def net_to_json(net: Net) -> dict:
     """JSON-ready representation: {"dim": d, "points": [[...], ...]}."""
-    return {"dim": net.dim, "points": [list(p.coords) for p in net.points]}
+    return {"dim": net.dim, "points": net.array.tolist()}
 
 
 def net_from_json(obj: dict) -> Net:

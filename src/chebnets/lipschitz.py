@@ -113,7 +113,7 @@ def sample_pair(m: Net, z: Net) -> LipschitzSample:
 
 
 def _net_scale(net: Net) -> float:
-    return max(max(abs(c) for c in p.coords) for p in net.points)
+    return float(np.abs(net.array).max())
 
 
 def min_pairwise_distance(net: Net) -> float:

@@ -20,5 +20,5 @@ def _affine_weights(pts: Sequence[tuple[float, ...]], target) -> list[float]:
 
 def support_barycentric(result: ChebResult) -> list[float]:
     """Barycentric coordinates of the center with respect to the support."""
-    _, pts, _ = _unit_scaled([result.center.coords] + [p.coords for p in result.support])
+    pts, _ = _unit_scaled([result.center.coords] + [p.coords for p in result.support])
     return _affine_weights(pts[1:], pts[0])

@@ -178,11 +178,11 @@ def test_translation_and_rotation_invariance():
         net = random_net(rng, 6, dim)
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         shift = rng.uniform(-3, 3, dim)
-        moved = Net.of([tuple(q @ p.array() + shift) for p in net])
+        moved = Net.of(net.array @ q.T + shift)
         base = cheb(net)
         transformed = cheb(moved)
-        expected = q @ base.center.array() + shift
-        assert np.linalg.norm(transformed.center.array() - expected) <= 1e-8
+        expected = q @ np.array(base.center.coords) + shift
+        assert np.linalg.norm(np.array(transformed.center.coords) - expected) <= 1e-8
         assert transformed.radius == pytest.approx(base.radius, abs=1e-9)
 
 
@@ -475,7 +475,7 @@ def test_batch_kernel_batches_like_single_nets():
 
 def full_order_mtf(net: Net) -> ChebResult:
     """Move-to-front over the whole insertion order, with no pivots."""
-    _, pts, exp = chebyshev._unit_scaled(net.coord_list())
+    pts, exp = chebyshev._unit_scaled(net.array.tolist())
     order = list(chebyshev._insertion_order(len(pts)))
     center, radius, support, weights = chebyshev._mtf(pts, order, [], net.dim)
     return chebyshev._build_result(net, center, radius, support, weights, exp)
@@ -528,7 +528,7 @@ def test_pivot_path_is_reached(monkeypatch):
 
     def counting_mtf(pts, order, boundary, dim):
         if not depth[0]:
-            top_level.append(list(boundary))
+            top_level.append((len(order), list(boundary)))
         depth[0] += 1
         try:
             return mtf(pts, order, boundary, dim)
@@ -538,13 +538,32 @@ def test_pivot_path_is_reached(monkeypatch):
     monkeypatch.setattr(chebyshev, "_mtf", counting_mtf)
     rng = np.random.default_rng(47)
     cheb(random_net(rng, chebyshev._MTF_HEAD, 3))
-    assert top_level == [[]]  # the head is the whole net: no pivot
+    assert top_level == [(chebyshev._MTF_HEAD, [])]  # move-to-front over the whole net: no pivot
     top_level.clear()
     net = random_net(rng, 500, 3)
     assert_valid(cheb(net), net)
-    # one head solve, then one solve per pivot with the farthest point on the boundary
-    assert top_level[0] == [] and len(top_level) > 1
-    assert all(len(boundary) == 1 for boundary in top_level[1:])
+    # no move-to-front head: the first pivot joins the farthest point to the
+    # one-point start, and every solve has the farthest point alone on the
+    # boundary, after the support rows
+    assert top_level[0] == (1, [1]) and len(top_level) > 1
+    assert all(boundary == [size] for size, boundary in top_level)
+
+
+def test_large_net_builds_points_only_for_center_and_support(monkeypatch):
+    built = []
+    post_init = Point.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Point, "__post_init__", counting_post_init)
+    net = random_net(np.random.default_rng(59), 3000, 3)
+    result = cheb(net)
+    assert len(built) == 1 + len(result.support)
+    assert set(built) == {result.center, *result.support}
+    monkeypatch.undo()
+    assert_valid(result, net)
 
 
 def test_pivot_that_does_not_grow_the_ball_raises(monkeypatch):

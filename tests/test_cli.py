@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -22,6 +23,26 @@ def line_files(tmp_path):
     a.write_text(json.dumps({"dim": 1, "points": [[0], [1]]}))
     b.write_text(json.dumps({"dim": 1, "points": [[0], [2]]}))
     return str(a), str(b)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "suite-all --trials 500 --samples 100 --seed 3",
+            "a316c98ff45bc3a46836529f57678d9a992647e35840773b017364486cf75bc3",
+        ),
+        (
+            "verify --lemma 2 --trials 3000 --n 5 --seed 4",
+            "27b4ac664d5690f5e739bc298521bc1c5a5a04edd5b3d707b061fcb96b6ede7e",
+        ),
+    ],
+)
+def test_reference_stdout_is_pinned(argv, digest, capsys):
+    # Same (config, seed), same bytes: a change to these digests is a change
+    # of the printed results, which needs a recorded reason.
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cheb_subcommand(net_file, capsys):

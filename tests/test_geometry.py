@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,73 @@ def test_net_invariants():
         Net((Point((0,)), Point((0, 1))))
     # canonical ordering makes equality set-like
     assert Net.of([(1, 0), (0, 0)]) == Net.of([(0, 0), (1, 0)])
+
+
+# Few distinct values, so rows often tie on leading coordinates and 0.0
+# meets -0.0.
+tie_coord = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0]) | coord
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda dim: st.lists(st.tuples(*[tie_coord] * dim), min_size=1, max_size=12, unique=True)
+))
+def test_net_array_and_tuple_input_agree(rows):
+    # unique=True compares tuples, so (0.0,) and (-0.0,) never both appear.
+    net = Net.of(rows)
+    assert repr(net.coord_list()) == repr(sorted(rows))  # sorted's order, signs of zero kept
+    assert Net.of(np.array(rows)) == net
+    assert Net(tuple(map(Point, rows))) == net
+    flipped = Net.of([tuple(0.0 if c == 0.0 else c for c in row) for row in reversed(rows)])
+    assert flipped == net and hash(flipped) == hash(net)
+    assert net.points == tuple(Point(row) for row in sorted(rows))
+
+
+@given(st.lists(st.tuples(coord, coord), min_size=1, max_size=8, unique=True), st.data())
+def test_net_duplicates_raise(rows, data):
+    twin = data.draw(st.sampled_from(rows))
+    with pytest.raises(DegenerateInputError):
+        Net.of(rows + [twin])
+    with pytest.raises(DegenerateInputError):
+        Net.of(np.array([twin] + rows))
+
+
+def test_net_rejects_signed_zero_twins():
+    with pytest.raises(DegenerateInputError):
+        Net.of([(0.0, 1.0), (2.0, 3.0), (-0.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([], DomainError),
+        (np.empty((0, 2)), DomainError),
+        ([(0.0, math.nan)], DomainError),
+        ([(0.0, 1.0), (math.inf, 1.0)], DomainError),
+        (np.array([[0.0, -math.inf]]), DomainError),
+        ([(0.0, 1.0), (2.0,)], DimensionError),
+        ([(), ()], DimensionError),
+        ([1.0, 2.0], DimensionError),
+    ],
+)
+def test_net_rejects_bad_input(rows, error):
+    with pytest.raises(error):
+        Net.of(rows)
+
+
+def test_net_equal_nets_hash_equal():
+    a = Net.of([(0.0, 1.0), (2.0, 3.0)])
+    b = Net.of(np.array([[2, 3], [-0.0, 1]]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Net.of([(0.0, 1.0)]) and a != Net.of([(0.0, 1.0, 0.0), (2.0, 3.0, 0.0)])
+
+
+def test_net_array_is_read_only_and_owned():
+    source = np.array([[1.0, 0.0], [0.0, 0.0]])
+    net = Net.of(source)
+    with pytest.raises(ValueError):
+        net.array[0, 0] = 5.0
+    source[0, 0] = 5.0  # the net copied its input
+    assert net.array.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 def test_net_json_round_trip():

@@ -239,7 +239,7 @@ def ref_local(spec):
                     v = rng.normal(size=spec.base_net.dim)
                     norm = np.linalg.norm(v)
                 r = spec.epsilon * rng.random() ** (1.0 / spec.base_net.dim)
-                pts.append(tuple((p.array() + v * (r / norm)).tolist()))
+                pts.append(tuple((np.array(p.coords) + v * (r / norm)).tolist()))
             if len(set(pts)) == len(pts):
                 return Net.of(pts)
 
