@@ -1,14 +1,14 @@
 """Exact minimum enclosing balls (Chebyshev centers) of finite Euclidean nets.
 
 The main solver reads the net's sorted coordinate array (`Net.array`). A
-net of at most `_MTF_HEAD` points, which covers every net the verifiers
-solve, goes to the incremental randomized move-to-front algorithm with
-explicit support-set maintenance (Welzl 1991). A larger net starts from a
-one-point ball that grows by farthest-point pivots (Gaertner, "Fast and
-robust smallest enclosing balls", ESA 1999): one numpy pass over the net
-finds the point farthest from the center, and move-to-front solves again
-only on the support plus that point, so only those rows become tuples.
-Each support set costs one Gram solve:
+net of at most `_MTF_MAX_POINTS` points, which covers every net the
+verifiers solve, goes to the incremental randomized move-to-front
+algorithm with explicit support-set maintenance (Welzl 1991). A larger net
+starts from a one-point ball that grows by farthest-point pivots
+(Gaertner, "Fast and robust smallest enclosing balls", ESA 1999): one
+numpy pass over the net finds the point farthest from the center, and
+move-to-front solves again only on the support plus that point, so only
+those rows become tuples. Each support set costs one Gram solve:
 `_circumball` returns the ball together with the barycentric weights of its
 center, and those weights certify that the center lies in the support's
 convex hull, with no second solve. The solve is one pass: a point that
@@ -50,7 +50,7 @@ _ORACLE_MAX_POINTS = 12
 _ORACLE_MAX_DIM = 6
 # `_welzl` solves a net of at most this many points by move-to-front over
 # the whole insertion order, and a larger net by farthest-point pivots.
-_MTF_HEAD = 16
+_MTF_MAX_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -162,19 +162,16 @@ def _mtf(pts, order, boundary, dim):
     return center, radius, support, weights
 
 
-def _unit_scaled(rows: Sequence[Sequence[float]]) -> tuple[list[tuple[float, ...]], int]:
-    """`rows` times 2**-e as tuples, e the binary exponent of the largest absolute coordinate.
+def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """`arr` times 2**-e, e the binary exponent of its largest absolute entry.
 
-    Returns (scaled points, e). The scaled coordinates are at most 1 in
-    absolute value, so Gram entries neither overflow nor underflow; scaling
-    by a power of two is exact, so results scale back with math.ldexp. This
-    is the pure-Python form for small nets; `math.ldexp` gives the values
-    that `np.ldexp` gives on the pivot path.
+    Returns (scaled array, e); the array is `arr` itself when e is 0. The
+    scaled coordinates are at most 1 in absolute value, so Gram entries
+    neither overflow nor underflow; scaling by a power of two is exact, so
+    results scale back with math.ldexp.
     """
-    exp = math.frexp(max(map(abs, itertools.chain.from_iterable(rows))))[1]
-    if exp:
-        return [tuple(math.ldexp(c, -exp) for c in row) for row in rows], exp
-    return [tuple(row) for row in rows], exp
+    exp = math.frexp(float(np.abs(arr).max()))[1]
+    return (np.ldexp(arr, -exp) if exp else arr), exp
 
 
 def _build_result(net: Net, center, radius, support_idx, weights, exp: int = 0) -> ChebResult:
@@ -207,7 +204,7 @@ def cheb(net: Net) -> ChebResult:
     A singleton is its own ball. Two-point nets and nets on the line take
     the closed form of `cheb_1d`, which equals the move-to-front result
     bitwise. Every other net goes to `_welzl`: move-to-front on at most
-    `_MTF_HEAD` points, farthest-point pivots on more.
+    `_MTF_MAX_POINTS` points, farthest-point pivots on more.
     """
     n = len(net)
     if n == 1:
@@ -218,25 +215,23 @@ def cheb(net: Net) -> ChebResult:
 
 
 def _welzl(net: Net) -> ChebResult:
-    """Move-to-front solve of a net of at most `_MTF_HEAD` points, pivots beyond.
+    """Move-to-front solve of a net of at most `_MTF_MAX_POINTS` points, pivots beyond.
 
-    A small net's rows are scaled in pure Python (`_unit_scaled`), which
-    costs less than numpy's per-call overhead on a few points, and `_mtf`
-    runs over its whole insertion order, a fixed shuffle of the net's
-    canonical order. A larger net is scaled as one array and solved by
+    A small net's `_mtf` runs over its whole insertion order, a fixed
+    shuffle of the net's canonical order. A larger net is solved by
     farthest-point pivots from its first row (`_pivots`).
 
     Either way the solve runs on the coordinates scaled by an exact power of
-    two, so that it depends on neither the scale of the net nor the
-    floating-point range; the center and radius are scaled back exactly.
+    two (`_unit_scaled`), so that it depends on neither the scale of the net
+    nor the floating-point range; the center and radius are scaled back
+    exactly.
     """
-    n, dim = net.array.shape
-    if n <= _MTF_HEAD:
-        pts, exp = _unit_scaled(net.array.tolist())
-        ball = _mtf(pts, list(_insertion_order(n)), [], dim)
+    arr, exp = _unit_scaled(net.array)
+    n, dim = arr.shape
+    if n <= _MTF_MAX_POINTS:
+        ball = _mtf(list(map(tuple, arr.tolist())), list(_insertion_order(n)), [], dim)
     else:
-        exp = math.frexp(float(np.abs(net.array).max()))[1]
-        ball = _pivots(np.ldexp(net.array, -exp) if exp else net.array)
+        ball = _pivots(arr)
     return _build_result(net, *ball, exp)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from chebnets.chebyshev import ChebResult, _dot, _solve, _unit_scaled
 
 
@@ -20,5 +22,6 @@ def _affine_weights(pts: Sequence[tuple[float, ...]], target) -> list[float]:
 
 def support_barycentric(result: ChebResult) -> list[float]:
     """Barycentric coordinates of the center with respect to the support."""
-    pts, _ = _unit_scaled([result.center.coords] + [p.coords for p in result.support])
+    arr, _ = _unit_scaled(np.array([result.center.coords] + [p.coords for p in result.support]))
+    pts = list(map(tuple, arr.tolist()))
     return _affine_weights(pts[1:], pts[0])

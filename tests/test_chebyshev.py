@@ -475,14 +475,15 @@ def test_batch_kernel_batches_like_single_nets():
 
 def full_order_mtf(net: Net) -> ChebResult:
     """Move-to-front over the whole insertion order, with no pivots."""
-    pts, exp = chebyshev._unit_scaled(net.array.tolist())
-    order = list(chebyshev._insertion_order(len(pts)))
+    arr, exp = chebyshev._unit_scaled(net.array)
+    order = list(chebyshev._insertion_order(len(arr)))
+    pts = list(map(tuple, arr.tolist()))
     center, radius, support, weights = chebyshev._mtf(pts, order, [], net.dim)
     return chebyshev._build_result(net, center, radius, support, weights, exp)
 
 
 def pivot_nets(rng):
-    """Nets of more than `_MTF_HEAD` points: random, cospherical, grids, flats, twins."""
+    """Nets of more than `_MTF_MAX_POINTS` points: random, cospherical, grids, flats, twins."""
     for dim in range(2, 7):
         for _ in range(4):
             yield random_net(rng, int(rng.integers(17, 300)), dim)
@@ -508,16 +509,18 @@ def pivot_nets(rng):
 def test_pivots_agree_with_full_move_to_front():
     rng = np.random.default_rng(37)
     for net in pivot_nets(rng):
-        assert len(net) > chebyshev._MTF_HEAD
+        assert len(net) > chebyshev._MTF_MAX_POINTS
         result = cheb(net)
         assert_valid(result, net)
         assert result.radius == pytest.approx(full_order_mtf(net).radius, rel=1e-12)
 
 
 def test_nets_within_the_head_equal_full_move_to_front_bitwise():
+    """Nets of at most `_MTF_MAX_POINTS` points take no pivot: `_welzl` is full move-to-front."""
     rng = np.random.default_rng(43)
     for _ in range(200):
-        net = random_net(rng, int(rng.integers(3, chebyshev._MTF_HEAD + 1)), int(rng.integers(2, 7)))
+        size = int(rng.integers(3, chebyshev._MTF_MAX_POINTS + 1))
+        net = random_net(rng, size, int(rng.integers(2, 7)))
         assert _welzl(net) == full_order_mtf(net)
     for coords in (RETRY_NET, NEAR_DUPLICATE_NET):
         assert _welzl(Net.of(coords)) == full_order_mtf(Net.of(coords))
@@ -537,8 +540,9 @@ def test_pivot_path_is_reached(monkeypatch):
 
     monkeypatch.setattr(chebyshev, "_mtf", counting_mtf)
     rng = np.random.default_rng(47)
-    cheb(random_net(rng, chebyshev._MTF_HEAD, 3))
-    assert top_level == [(chebyshev._MTF_HEAD, [])]  # move-to-front over the whole net: no pivot
+    cheb(random_net(rng, chebyshev._MTF_MAX_POINTS, 3))
+    # move-to-front over the whole net: no pivot
+    assert top_level == [(chebyshev._MTF_MAX_POINTS, [])]
     top_level.clear()
     net = random_net(rng, 500, 3)
     assert_valid(cheb(net), net)
