@@ -11,7 +11,12 @@ move-to-front solves again only on the support plus that point, so only
 those rows become tuples. Each support set costs one Gram solve:
 `_circumball` returns the ball together with the barycentric weights of its
 center, and those weights certify that the center lies in the support's
-convex hull, with no second solve. The solve is one pass: a point that
+convex hull, with no second solve. `_circumball` and `_solve` are plain
+loops with a fixed operation order: each dot product and sum starts at 0.0
+and adds left to right, and the pivot is the first row of largest `abs`.
+A rewrite of them must keep those operations in that order, so that every
+result stays the same bits; `tests/meb_helpers.py` holds the generator
+form they replaced as the reference. The solve is one pass: a point that
 would make a support affinely dependent is left off it (`_mtf`). Nets of two
 points and nets on the line skip the recursion: their ball is fixed by the
 lexicographic extremes (`cheb_1d`). Before the solve the coordinates are
@@ -19,7 +24,8 @@ scaled by an exact power of two, so squared lengths neither overflow nor
 underflow and the result does not depend on the scale of the net. The
 insertion order is one cached shuffle per net size, and the pivots start
 from the net's first row, so the result is a function of the net alone.
-`Point`s are built only for the center and the support of the result.
+`cheb_ball` returns the center's coordinates, the radius and the support's
+row indices; `cheb` builds `Point`s for them.
 
 The second engine enumerates candidate support subsets
 (`_enumerated_balls`), solving the subsets of one size for a whole batch of
@@ -28,7 +34,7 @@ nets at once and sharing no code with the move-to-front solver.
 `cheb_batch` runs it on the verifiers' trials, many nets of 3 to 6 points,
 and takes the closed form of `cheb_1d` for two-point nets and nets on the
 line. The verifiers only screen their trials with `cheb_batch`: the
-figures they report come from `cheb`.
+figures they report come from the scalar solver (`cheb_ball`).
 """
 
 from __future__ import annotations
@@ -67,34 +73,62 @@ class ChebResult:
     support: tuple[Point, ...]
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     """Gaussian elimination with partial pivoting on a tiny system.
 
     Raises DegenerateInputError when a pivot falls below the rank tolerance
     relative to the largest matrix entry (affinely dependent input).
+
+    Plain loops that do the operations of the generator form kept in
+    `tests/meb_helpers.py`, in its order, so the two agree bitwise on every
+    interpreter: the pivot is the first row with the strictly largest
+    `abs`, every sum starts at 0.0 and adds left to right (the built-in
+    `sum` of floats is compensated from Python 3.12 on), and a 2x2 system
+    runs the same operations unrolled.
     """
     m = len(rhs)
-    a = [row[:] + [r] for row, r in zip(matrix, rhs)]
-    scale = max((abs(a[i][j]) for i in range(m) for j in range(m)), default=0.0)
+    if m == 2:  # the loops below unrolled, for the many three-point supports
+        (a00, a01), (a10, a11) = matrix
+        r0, r1 = rhs
+        scale = max(abs(a00), abs(a01), abs(a10), abs(a11))
+        if abs(a10) > abs(a00):
+            a00, a01, r0, a10, a11, r1 = a10, a11, r1, a00, a01, r0
+        if abs(a00) <= TAU_RANK * scale:
+            raise DegenerateInputError("near-singular circumball system")
+        f = a10 * (1.0 / a00)
+        if f != 0.0:
+            a11 -= f * a01
+            r1 -= f * r0
+        if abs(a11) <= TAU_RANK * scale:
+            raise DegenerateInputError("near-singular circumball system")
+        x1 = r1 / a11
+        return [(r0 - (0.0 + a01 * x1)) / a00, x1]
+    a = [row + [r] for row, r in zip(matrix, rhs)]
+    scale = max(map(abs, itertools.chain.from_iterable(matrix)), default=0.0)
     for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) <= TAU_RANK * scale:
+        piv, big = col, abs(a[col][col])
+        for r in range(col + 1, m):
+            v = abs(a[r][col])
+            if v > big:
+                piv, big = r, v
+        if big <= TAU_RANK * scale:
             raise DegenerateInputError("near-singular circumball system")
         a[col], a[piv] = a[piv], a[col]
-        inv = 1.0 / a[col][col]
+        top = a[col]
+        inv = 1.0 / top[col]
         for r in range(col + 1, m):
-            f = a[r][col] * inv
+            row = a[r]
+            f = row[col] * inv
             if f != 0.0:
                 for c in range(col, m + 1):
-                    a[r][c] -= f * a[col][c]
+                    row[c] -= f * top[c]
     out = [0.0] * m
     for r in range(m - 1, -1, -1):
-        s = a[r][m] - sum(a[r][c] * out[c] for c in range(r + 1, m))
-        out[r] = s / a[r][r]
+        row = a[r]
+        acc = 0.0
+        for c in range(r + 1, m):
+            acc += row[c] * out[c]
+        out[r] = (row[m] - acc) / row[r]
     return out
 
 
@@ -105,6 +139,13 @@ def _circumball(
 
     Returns (center, radius, weights): `weights` are the barycentric
     coordinates of the center with respect to `pts`, read off the same solve.
+
+    The center solves the Gram system `2 G lam = (|d_i|^2)` of the
+    directions `d_i = p_i - p_0`. Every dot product and sum is a plain loop
+    from 0.0, left to right, and G is built on its upper triangle and
+    mirrored (`x * y == y * x` bitwise), so the result does not depend on
+    the interpreter's `sum`; `tests/meb_helpers.py` keeps the generator
+    form as the bitwise reference.
     """
     k = len(pts)
     if k == 1:
@@ -115,17 +156,29 @@ def _circumball(
         c = tuple(x / 2.0 + y / 2.0 for x, y in zip(a, b))
         return c, max(math.dist(c, a), math.dist(c, b)), (0.5, 0.5)
     base = pts[0]
-    dirs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
+    dirs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
     m = k - 1
-    gram = [[2.0 * _dot(dirs[i], dirs[j]) for j in range(m)] for i in range(m)]
-    rhs = [_dot(d, d) for d in dirs]
+    gram = [[0.0] * m for _ in range(m)]
+    rhs = [0.0] * m
+    for i in range(m):
+        di, gi = dirs[i], gram[i]
+        for j in range(i, m):
+            acc = 0.0
+            for x, y in zip(di, dirs[j]):
+                acc += x * y
+            if j == i:
+                rhs[i] = acc
+            gi[j] = gram[j][i] = 2.0 * acc
     lam = _solve(gram, rhs)
     center = list(base)
     for coef, d in zip(lam, dirs):
         for t in range(len(center)):
             center[t] += coef * d[t]
     c = tuple(center)
-    return c, max(math.dist(c, p) for p in pts), (1.0 - sum(lam), *lam)
+    total = 0.0
+    for x in lam:
+        total += x
+    return c, max([math.dist(c, p) for p in pts]), (1.0 - total, *lam)
 
 
 def _mtf(pts, order, boundary, dim):
@@ -174,9 +227,10 @@ def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
     return (np.ldexp(arr, -exp) if exp else arr), exp
 
 
-def _build_result(net: Net, center, radius, support_idx, weights, exp: int = 0) -> ChebResult:
-    """Result of a solve on the net's coordinates times 2**-exp.
+def _certified(center, radius, support_idx, weights, exp: int = 0):
+    """Ball of a solve on the net's coordinates times 2**-exp, scaled back.
 
+    Returns (center, radius, support indices in increasing order).
     `weights` are the center's barycentric coordinates over the support; a
     center outside the support's hull raises DegenerateInputError to the caller.
     """
@@ -185,9 +239,13 @@ def _build_result(net: Net, center, radius, support_idx, weights, exp: int = 0) 
     if exp:
         center = tuple(math.ldexp(c, exp) for c in center)
         radius = math.ldexp(radius, exp)
+    return center, radius, tuple(sorted(support_idx))
+
+
+def _result(net: Net, center, radius, support) -> ChebResult:
+    """`ChebResult` of a ball given by center coordinates and support row indices."""
     arr = net.array  # a row at a time: fancy indexing costs more on a few rows
-    support = tuple(Point(tuple(arr[i].tolist())) for i in sorted(support_idx))
-    return ChebResult(Point(center), radius, support)
+    return ChebResult(Point(center), radius, tuple(Point(tuple(arr[i].tolist())) for i in support))
 
 
 @functools.lru_cache(maxsize=64)
@@ -199,27 +257,37 @@ def _insertion_order(n: int) -> tuple[int, ...]:
 
 
 def cheb(net: Net) -> ChebResult:
-    """Minimum enclosing ball of a net.
+    """Minimum enclosing ball of a net, as `cheb_ball` solves it, with `Point`s."""
+    return _result(net, *cheb_ball(net))
 
-    A singleton is its own ball. Two-point nets and nets on the line take
-    the closed form of `cheb_1d`, which equals the move-to-front result
-    bitwise. Every other net goes to `_welzl`: move-to-front on at most
-    `_MTF_MAX_POINTS` points, farthest-point pivots on more.
+
+def cheb_ball(net: Net) -> tuple[tuple[float, ...], float, tuple[int, ...]]:
+    """Center coordinates, radius and support of the minimum enclosing ball of a net.
+
+    The support is given by row indices into `net.array`, in increasing
+    order, and no `Point` is built. A singleton is its own ball. Two-point
+    nets and nets on the line take the closed form of `cheb_1d`, which
+    equals the move-to-front result bitwise. Every other net goes to
+    `_welzl`: move-to-front on at most `_MTF_MAX_POINTS` points,
+    farthest-point pivots on more.
     """
-    n = len(net)
+    arr = net.array
+    n = len(arr)
     if n == 1:
-        return ChebResult(net.points[0], 0.0, (net.points[0],))
-    if n == 2 or net.dim == 1:
-        return cheb_1d(net)
+        return tuple(arr[0].tolist()), 0.0, (0,)
+    if n == 2 or arr.shape[1] == 1:
+        center, radius, _ = _circumball([tuple(arr[0].tolist()), tuple(arr[-1].tolist())])
+        return center, radius, (0, n - 1)
     return _welzl(net)
 
 
-def _welzl(net: Net) -> ChebResult:
+def _welzl(net: Net):
     """Move-to-front solve of a net of at most `_MTF_MAX_POINTS` points, pivots beyond.
 
-    A small net's `_mtf` runs over its whole insertion order, a fixed
-    shuffle of the net's canonical order. A larger net is solved by
-    farthest-point pivots from its first row (`_pivots`).
+    Returns the ball as `cheb_ball` does. A small net's `_mtf` runs over its
+    whole insertion order, a fixed shuffle of the net's canonical order. A
+    larger net is solved by farthest-point pivots from its first row
+    (`_pivots`).
 
     Either way the solve runs on the coordinates scaled by an exact power of
     two (`_unit_scaled`), so that it depends on neither the scale of the net
@@ -232,7 +300,7 @@ def _welzl(net: Net) -> ChebResult:
         ball = _mtf(list(map(tuple, arr.tolist())), list(_insertion_order(n)), [], dim)
     else:
         ball = _pivots(arr)
-    return _build_result(net, *ball, exp)
+    return _certified(*ball, exp)
 
 
 def _pivots(arr: np.ndarray):
@@ -274,15 +342,12 @@ def cheb_1d(net: Net) -> ChebResult:
 
     That holds on the line and for any net of two points: the center is the
     midpoint of the first and last point and the radius is half their
-    distance. `cheb` takes this branch for those nets.
+    distance. `cheb_ball` takes this branch for those nets, so this is
+    `cheb` restricted to them.
     """
     if net.dim != 1 and len(net) != 2:
         raise DimensionError(f"cheb_1d requires dim 1 or two points, got dim {net.dim}")
-    if len(net) == 1:
-        return ChebResult(net.points[0], 0.0, net.points)
-    lo, hi = tuple(net.array[0].tolist()), tuple(net.array[-1].tolist())
-    center, radius, _ = _circumball([lo, hi])
-    return ChebResult(Point(center), radius, (Point(lo), Point(hi)))
+    return cheb(net)
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,10 +498,10 @@ def cheb_oracle(net: Net) -> ChebResult:
     if not np.isfinite(radii[0]):
         raise DegenerateInputError("oracle found no covering candidate ball")
     size = int((support[0] >= 0).sum())
-    return _build_result(
-        net,
+    ball = _certified(
         tuple(centers[0].tolist()),
         float(radii[0]),
         tuple(support[0, :size].tolist()),
         weights[0, :size].tolist(),
     )
+    return _result(net, *ball)

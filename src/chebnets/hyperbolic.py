@@ -186,7 +186,8 @@ class HyperbolicTriangle:
             raise DegenerateInputError("triangle vertices must be pairwise distinct")
         sides = (h_distance(b, c), h_distance(a, c), h_distance(a, b))
         angles = (h_angle(a, b, c), h_angle(b, a, c), h_angle(c, a, b))
-        if sum(angles) >= math.pi:
+        # Left to right: the built-in `sum` of floats is compensated from 3.12 on.
+        if angles[0] + angles[1] + angles[2] >= math.pi:
             raise DegenerateInputError("angle sum >= pi: vertices are collinear")
         for i in range(3):
             if sides[i] >= sides[(i + 1) % 3] + sides[(i + 2) % 3]:

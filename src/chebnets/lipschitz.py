@@ -25,9 +25,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import hausdorff
-from .chebyshev import cheb, cheb_batch
+from .chebyshev import cheb_ball, cheb_batch
 from .errors import DomainError, InconsistencyError
-from .geometry import Net, distance
+from .geometry import Net
 from .tolerances import TAU_SCREEN, geom_tol
 
 LEMMA_IDS = ("L1", "L2", "L4", "S1", "S2i", "S2ii")
@@ -101,8 +101,13 @@ def worst_of(items: Iterable, ratio: Callable = attrgetter("ratio")) -> tuple[fl
 
 def sample_pair(m: Net, z: Net) -> LipschitzSample:
     """Measure one pair: alpha, center displacement and their ratio."""
+    return _sample_from(m, cheb_ball(m)[0], z)
+
+
+def _sample_from(m: Net, center_m: tuple[float, ...], z: Net) -> LipschitzSample:
+    """`sample_pair(m, z)` given m's center coordinates, for callers that reuse one m."""
     a = hausdorff.alpha(m, z)
-    disp = distance(cheb(m).center, cheb(z).center)
+    disp = math.dist(center_m, cheb_ball(z)[0])
     if a == 0.0:
         if disp > geom_tol(_net_scale(m)):
             raise InconsistencyError(

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import hausdorff
-from .chebyshev import _sum_last, cheb, cheb_batch
+from .chebyshev import _sum_last, cheb, cheb_ball, cheb_batch
 from .errors import DegenerateInputError, DomainError, SamplingBudgetError
 from .geometry import Net, Point, diameter, distance
 from .lipschitz import (
@@ -36,6 +36,7 @@ from .lipschitz import (
     LipschitzSample,
     _has_repeat,
     _net_points,
+    _sample_from,
     draw_trials,
     sample_pair,
     screen_error,
@@ -160,20 +161,31 @@ def verify_lemma2(trials: int, n: int, seed: int = 0) -> LemmaReport:
 
 
 def _angle(at: Point, b: Point, c: Point) -> float:
-    u = [x - y for x, y in zip(b.coords, at.coords)]
-    v = [x - y for x, y in zip(c.coords, at.coords)]
-    nu = math.sqrt(sum(x * x for x in u))
-    nv = math.sqrt(sum(x * x for x in v))
+    """Angle at `at` of the triangle (at, b, c), by acos of the normalized dot product.
+
+    The sums start at 0.0 and add left to right, the same bits on every
+    interpreter (the built-in `sum` of floats is compensated from 3.12 on).
+    """
+    uu = vv = uv = 0.0
+    for x, y, o in zip(b.coords, c.coords, at.coords):
+        x -= o
+        y -= o
+        uu += x * x
+        vv += y * y
+        uv += x * y
+    nu = math.sqrt(uu)
+    nv = math.sqrt(vv)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateInputError("angle at coincident points is undefined")
-    cosang = sum(x * y for x, y in zip(u, v)) / (nu * nv)
+    cosang = uv / (nu * nv)
     return math.acos(min(1.0, max(-1.0, cosang)))
 
 
 def _acute_at(at: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """`_angle(at, b, c) < pi / 2` for rows of (K, d) arrays, with its arithmetic."""
     u, v = b - at, c - at
-    # _sum_last adds in index order, as Python's `sum` does.
+    # _sum_last adds in index order, as `_angle`'s loop does; a zero sum may
+    # differ in sign, which acos ignores.
     cosang = _sum_last(u * v) / (np.sqrt(_sum_last(u * u)) * np.sqrt(_sum_last(v * v)))
     angles = map(math.acos, np.clip(cosang, -1.0, 1.0).tolist())
     return np.fromiter(angles, dtype=float, count=len(cosang)) < math.pi / 2
@@ -244,7 +256,10 @@ def verify_lemma4(u: Point, v: Point, w: Point, extensions: int, seed: int = 0) 
     moved = np.broadcast_to(tri, (extensions, 3, tri.shape[1])).copy()
     moved[:, 2] = zs
     m = Net((u, v, w))
-    worst = screened_worst(*screen_ratios(tri[None], moved), lambda i: sample_pair(m, Net.of(moved[i])))
+    center_m = cheb_ball(m)[0]  # every re-measure shares the base net
+    worst = screened_worst(
+        *screen_ratios(tri[None], moved), lambda i: _sample_from(m, center_m, Net.of(moved[i]))
+    )
     return _report("L4", extensions, bound, worst)
 
 

@@ -19,6 +19,7 @@ from chebnets.errors import DegenerateInputError, DimensionError, OracleBudgetEr
 from chebnets.geometry import Net, Point, distance
 from chebnets.tolerances import TAU_GEOM, geom_tol
 from meb_helpers import _affine_weights, support_barycentric
+from meb_helpers import _circumball as reference_circumball
 
 
 def random_net(rng, size, dim):
@@ -105,7 +106,7 @@ def test_cheb_1d_agrees_with_cheb_exactly():
     pair_nets = [random_net(rng, 2, dim) for dim in range(2, 6) for _ in range(100)]
     for net in line_nets + pair_nets:
         fast = cheb_1d(net)
-        full = _welzl(net)
+        full = chebyshev._result(net, *_welzl(net))
         assert fast.center == full.center
         assert fast.radius == full.radius
         assert fast.support == full.support
@@ -225,6 +226,62 @@ def test_circumball_rejects_degenerate():
         _circumball([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
 
 
+SUPPORT_FAMILIES = ("uniform", "lattice", "scale", "twins", "dependent", "ties")
+SUPPORT_SCALES = (1e300, 1e150, 1e-150, 1e-300)
+
+
+def support_sets(rng, per_family):
+    """(family, points) of 3 to d + 2 points in d 1..6, `per_family` of each family.
+
+    Uniform points in [-1, 1]; integer lattice points; uniform points
+    scaled by 1e+-300 and 1e+-150; half the points with a twin 1e-9 away;
+    points on a flat of lower dimension (affinely dependent); a staircase
+    from the origin along the axes, whose Gram matrix ties every pivot
+    candidate, so the first of equal rows must win.
+    """
+    for t in range(per_family * len(SUPPORT_FAMILIES)):
+        family = SUPPORT_FAMILIES[t % len(SUPPORT_FAMILIES)]
+        dim = int(rng.integers(1, 7))
+        k = int(rng.integers(3, dim + 3))
+        pts = rng.uniform(-1, 1, (k, dim))
+        if family == "lattice":
+            pts = rng.integers(-3, 4, (k, dim)).astype(float)
+        elif family == "scale":
+            pts *= SUPPORT_SCALES[t // len(SUPPORT_FAMILIES) % len(SUPPORT_SCALES)]
+        elif family == "twins":
+            half = pts[: (k + 1) // 2]
+            pts = np.vstack([half, half + 1e-9 * rng.normal(size=half.shape)])[:k]
+        elif family == "dependent":
+            flat = rng.uniform(-1, 1, (k, max(1, min(dim, k - 2))))
+            pts = flat @ rng.normal(size=(flat.shape[1], dim))
+        elif family == "ties":
+            steps = np.zeros((k, dim))
+            steps[1:, : k - 1] = np.diag(rng.uniform(-1, 1, k - 1))[:, :dim]
+            pts = np.cumsum(steps, axis=0)
+        yield family, [tuple(p) for p in pts.tolist()]
+
+
+def circumball_outcome(circumball, pts) -> str:
+    try:
+        return repr(circumball(pts))
+    except (DegenerateInputError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+def test_circumball_matches_generator_reference_bitwise():
+    # The plain-loop kernel does the reference's operations in its order:
+    # the same center, radius and weights to the last bit, and a raise on
+    # the same inputs.
+    rng = np.random.default_rng(53)
+    outcomes = {family: set() for family in SUPPORT_FAMILIES}
+    for family, pts in support_sets(rng, 400):
+        expected = circumball_outcome(reference_circumball, pts)
+        assert circumball_outcome(_circumball, pts) == expected, (family, pts)
+        outcomes[family].add(expected == "DegenerateInputError")
+    assert all(outcomes[family] == {True, False} for family in ("uniform", "lattice", "scale", "ties"))
+    assert True in outcomes["twins"] and True in outcomes["dependent"]
+
+
 # Twins 1e-9 apart: the move-to-front solve meets near-singular supports
 # on its insertion order.
 RETRY_NET = [
@@ -294,9 +351,8 @@ def test_near_duplicate_nets_solve():
 
 
 def test_support_outside_hull_is_rejected():
-    net = Net.of([(0.0, 0.0), (1.0, 0.0)])
     with pytest.raises(DegenerateInputError):
-        chebyshev._build_result(net, (2.0, 0.0), 2.0, (0, 1), (-1.0, 2.0))
+        chebyshev._certified((2.0, 0.0), 2.0, (0, 1), (-1.0, 2.0))
 
 
 def test_oracle_support_on_regular_polygons_is_hull_certified():
@@ -410,11 +466,11 @@ def test_radius_invariant_under_isometry(data):
 def assert_kernel_matches_welzl(coords):
     """`cheb_batch` on one net against the move-to-front solve, within 1e-12 * scale."""
     net = Net.of(coords)
-    ref = _welzl(net)
+    ref_center, ref_radius, _ = _welzl(net)
     center, radius = cheb_batch(np.array(net.coord_list())[None])
     scale = max(1.0, max(abs(c) for p in net.coord_list() for c in p))
-    assert np.abs(center[0] - ref.center.coords).max() <= 1e-12 * scale
-    assert abs(radius[0] - ref.radius) <= 1e-12 * scale
+    assert np.abs(center[0] - ref_center).max() <= 1e-12 * scale
+    assert abs(radius[0] - ref_radius) <= 1e-12 * scale
     if len(net) == 2 or net.dim == 1:
         assert tuple(center[0].tolist()) == cheb_1d(net).center.coords
 
@@ -473,13 +529,13 @@ def test_batch_kernel_batches_like_single_nets():
         assert np.abs(c1[0] - center).max() <= 1e-15 and abs(r1[0] - radius) <= 1e-15
 
 
-def full_order_mtf(net: Net) -> ChebResult:
-    """Move-to-front over the whole insertion order, with no pivots."""
+def full_order_mtf(net: Net):
+    """Move-to-front over the whole insertion order, with no pivots, as `_welzl` returns it."""
     arr, exp = chebyshev._unit_scaled(net.array)
     order = list(chebyshev._insertion_order(len(arr)))
     pts = list(map(tuple, arr.tolist()))
     center, radius, support, weights = chebyshev._mtf(pts, order, [], net.dim)
-    return chebyshev._build_result(net, center, radius, support, weights, exp)
+    return chebyshev._certified(center, radius, support, weights, exp)
 
 
 def pivot_nets(rng):
@@ -512,7 +568,7 @@ def test_pivots_agree_with_full_move_to_front():
         assert len(net) > chebyshev._MTF_MAX_POINTS
         result = cheb(net)
         assert_valid(result, net)
-        assert result.radius == pytest.approx(full_order_mtf(net).radius, rel=1e-12)
+        assert result.radius == pytest.approx(full_order_mtf(net)[1], rel=1e-12)
 
 
 def test_nets_within_the_head_equal_full_move_to_front_bitwise():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import chebnets.lipschitz as lip
-from chebnets.chebyshev import ChebResult
 from chebnets.errors import DomainError, InconsistencyError
-from chebnets.geometry import Net, Point
+from chebnets.geometry import Net
 from chebnets.lipschitz import (
     NeighborhoodSpec,
     default_epsilon,
@@ -48,13 +47,12 @@ def test_sample_pair_ratio_consistency():
 
 
 def test_sample_pair_flags_inconsistent_solver(monkeypatch):
-    drift = iter([Point((0.0, 0.0)), Point((1.0, 0.0))])
+    drift = iter([(0.0, 0.0), (1.0, 0.0)])
 
-    def broken_cheb(net):
-        p = next(drift)
-        return ChebResult(p, 0.0, (p,))
+    def broken_cheb_ball(net):
+        return next(drift), 0.0, (0,)
 
-    monkeypatch.setattr(lip, "cheb", broken_cheb)
+    monkeypatch.setattr(lip, "cheb_ball", broken_cheb_ball)
     m = Net.of([(0.0, 0.0), (1.0, 1.0)])
     with pytest.raises(InconsistencyError):
         sample_pair(m, m)

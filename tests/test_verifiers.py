@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import chebnets.lipschitz as lip
 import chebnets.verifiers as verifiers
 from chebnets.errors import DegenerateInputError, DomainError, SamplingBudgetError
 from chebnets.geometry import Net, Point, diameter
@@ -93,6 +94,32 @@ def test_verify_lemma4_single_config():
         verify_lemma4(u, u, w, extensions=10)
     with pytest.raises(DomainError):
         verify_lemma4(u, v, w, extensions=0)
+
+
+def test_verify_lemma4_solves_the_base_net_once(monkeypatch):
+    # An obtuse angle at u ties every extension at ratio 1/2, so the screen
+    # sends many of them to the scalar re-measure; the base net is solved
+    # once for all of them.
+    u, v, w = triangle_with_angle_at_u(2.0)
+    solved, measured = [], []
+    cheb_ball, sample_from = verifiers.cheb_ball, verifiers._sample_from
+
+    def counting_cheb_ball(net):
+        solved.append(net)
+        return cheb_ball(net)
+
+    def counting_sample_from(m, center_m, z):
+        measured.append(z)
+        return sample_from(m, center_m, z)
+
+    monkeypatch.setattr(verifiers, "cheb_ball", counting_cheb_ball)
+    monkeypatch.setattr(lip, "cheb_ball", counting_cheb_ball)
+    monkeypatch.setattr(verifiers, "_sample_from", counting_sample_from)
+    report = verify_lemma4(u, v, w, extensions=200, seed=3)
+    assert len(measured) > 100
+    assert len(solved) == len(measured) + 1
+    assert solved[0] == Net((u, v, w))
+    assert report.max_ratio == sample_pair(Net((u, v, w)), report.worst_sample.net_b).ratio
 
 
 def test_verify_lemma4_random_quick():
