@@ -5,7 +5,8 @@ semicircle over [x, y]; as z slides toward y the center of {x, y, z} stays
 at the midpoint of [x, y] while the center of {x, y, u} (u the matching
 point further along the ray from x through z) runs away at rate
 |xy| / (2 |zy|). The hyperbolic family is the same picture built from
-hyperboloid-model kernels.
+hyperboloid-model kernels, with z and u placed in closed form by the
+hyperbolic law of cosines for isosceles triangles.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from .geometry import Net, Point, distance
 from .hyperbolic import (
     HyperbolicPoint,
     ORIGIN,
+    _unit_tangent,
     h_alpha,
     h_cheb3,
     h_distance,
     h_exp,
-    h_log,
     h_midpoint,
     minkowski_inner,
+    tangent_basis,
 )
 from .lipschitz import sample_pair
 from .tolerances import TAU_WITNESS
@@ -130,67 +132,30 @@ def _ray_circle_second_hit(vertex, through, center, radius):
     return (vertex[0] + s * d[0], vertex[1] + s * d[1])
 
 
-def _unit_tangent(p: HyperbolicPoint, q: HyperbolicPoint):
-    v = h_log(p, q)
-    n = math.sqrt(max(-minkowski_inner(v, v), 0.0))
-    if n == 0.0:
-        raise DegenerateInputError("no direction between coincident points")
-    return tuple(x / n for x in v)
+def _hyperbolic_family(chord: float):
+    """Hyperbolic analog of the Euclidean family for a given |zy| = chord.
 
-
-def _hyperbolic_family(chord: float, separation: float = 1.0):
-    """Hyperbolic analog of the Euclidean family for a given |zy| = chord."""
+    x = ORIGIN and y lie 1 apart; z is on the circle of radius R = 1/2 about
+    their midpoint, at the angle theta from y that the isosceles triangle
+    (mid, y, z) fixes: sinh(chord/2) = sinh(R) sin(theta/2). u is on the ray
+    from x through z, with mid(x, u) as far from y as from x; the isosceles
+    triangle (x, mid(x, u), y) gives tanh(|xu|/2) cos(phi) = tanh(|xy|/2),
+    phi the angle at x between y and z.
+    """
     x = ORIGIN
-    y = HyperbolicPoint((math.cosh(separation), math.sinh(separation), 0.0))
+    y = HyperbolicPoint((math.cosh(1.0), math.sinh(1.0), 0.0))
     mid = h_midpoint(x, y)
-    radius = separation / 2.0
-    toward_y = _unit_tangent(mid, y)
-    # Perpendicular tangent direction at the midpoint.
-    raw = (0.0, 0.0, 1.0)
-    perp = tuple(
-        r - minkowski_inner(raw, mid.coords) * m + minkowski_inner(raw, toward_y) * t
-        for r, m, t in zip(raw, mid.coords, toward_y)
-    )
-    pn = math.sqrt(max(-minkowski_inner(perp, perp), 0.0))
-    perp = tuple(p / pn for p in perp)
-
-    def on_circle(theta: float) -> HyperbolicPoint:
-        v = tuple(
-            radius * (math.cos(theta) * a + math.sin(theta) * b)
-            for a, b in zip(toward_y, perp)
-        )
-        return h_exp(mid, v)
-
-    lo, hi = 0.0, math.pi
-    for _ in range(200):
-        th = (lo + hi) / 2.0
-        if h_distance(y, on_circle(th)) < chord:
-            lo = th
-        else:
-            hi = th
-    z = on_circle((lo + hi) / 2.0)
-
+    radius = 0.5
+    # At a point of the x1 axis the first basis vector points along it, at y.
+    toward_y, perp = tangent_basis(mid)
+    theta = 2.0 * math.asin(math.sinh(chord / 2.0) / math.sinh(radius))
+    z = h_exp(mid, tuple(
+        radius * (math.cos(theta) * a + math.sin(theta) * b) for a, b in zip(toward_y, perp)
+    ))
     direction = _unit_tangent(x, z)
-
-    def halves_gap(t: float) -> float:
-        u_t = h_exp(x, tuple(t * d for d in direction))
-        return h_distance(h_midpoint(x, u_t), y) - t / 2.0
-
-    t_lo = h_distance(x, z)
-    t_hi = t_lo
-    for _ in range(200):
-        t_hi += separation
-        if halves_gap(t_hi) < 0.0:
-            break
-    else:
-        raise SamplingBudgetError("failed to bracket the matching point u")
-    for _ in range(200):
-        t = (t_lo + t_hi) / 2.0
-        if halves_gap(t) > 0.0:
-            t_lo = t
-        else:
-            t_hi = t
-    u = h_exp(x, tuple(((t_lo + t_hi) / 2.0) * d for d in direction))
+    cos_phi = -minkowski_inner(_unit_tangent(x, y), direction)
+    length = 2.0 * math.atanh(math.tanh(radius) / cos_phi)
+    u = h_exp(x, tuple(length * d for d in direction))
     return (x, y, z), (x, y, u)
 
 

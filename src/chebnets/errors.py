@@ -26,7 +26,7 @@ class OracleBudgetError(ChebnetsError):
 
 
 class SamplingBudgetError(ChebnetsError):
-    """A rejection sampler or bracketing search exhausted its budget."""
+    """A rejection sampler or the Lemma 3 chord ladder exhausted its budget."""
 
 
 class InconsistencyError(ChebnetsError):

@@ -155,15 +155,20 @@ def h_angle(at: HyperbolicPoint, b: HyperbolicPoint, c: HyperbolicPoint) -> floa
     return math.atan2(abs(cross), dot)
 
 
+def _unit_tangent(p: HyperbolicPoint, q: HyperbolicPoint) -> Vec3:
+    """Unit tangent vector at p pointing to q."""
+    v = h_log(p, q)
+    n = math.sqrt(max(-minkowski_inner(v, v), 0.0))
+    if n == 0.0:
+        raise DegenerateInputError("no direction between coincident points")
+    return _scaled(v, 1.0 / n)
+
+
 def h_project_to_geodesic(
     v: HyperbolicPoint, x: HyperbolicPoint, w: HyperbolicPoint
 ) -> HyperbolicPoint:
     """Foot of the perpendicular from v onto the geodesic through x and w."""
-    d = h_log(x, w)
-    nd = math.sqrt(max(-minkowski_inner(d, d), 0.0))
-    if nd == 0.0:
-        raise DegenerateInputError("geodesic through coincident points is undefined")
-    dhat = _scaled(d, 1.0 / nd)
+    dhat = _unit_tangent(x, w)
     t = math.atanh(-minkowski_inner(dhat, v.coords) / minkowski_inner(x.coords, v.coords))
     return h_exp(x, _scaled(dhat, t))
 
@@ -346,10 +351,11 @@ def h_cheb3(
     the center is that midpoint, exactly as in the Euclidean two-support
     case; collinear triples land here automatically. Otherwise the center is
     the equidistant point, found by Newton iteration; if Newton returns None
-    the exact enumeration `minimax_center_search` gives the center. Note the branch test is ball containment,
-    not an angle threshold: a point can see the longest side under an acute
-    angle and still lie inside its midpoint ball (there is no Thales circle
-    at curvature -1), and such triples have a two-point support.
+    the exact enumeration `minimax_center_search` gives the center. Note the
+    branch test is ball containment, not an angle threshold: a point can see
+    the longest side under an acute angle and still lie inside its midpoint
+    ball (there is no Thales circle at curvature -1), and such triples have
+    a two-point support.
     """
     pts = (a, b, c)
     if a.coords == b.coords or a.coords == c.coords or b.coords == c.coords:

@@ -229,7 +229,6 @@ def verify_lemma4(u: Point, v: Point, w: Point, extensions: int, seed: int = 0) 
     uv = distance(u, v)
     phi = _angle(u, v, w)
 
-    strata: list[tuple[float, float]] = []
     span = uv + t_w
     if 0.0 < phi < math.pi / 2:
         t_p = uv * math.cos(phi)

@@ -14,6 +14,7 @@ from chebnets.geometry import Point, distance
 from chebnets.hyperbolic import (
     HyperbolicTriangle,
     h_alpha,
+    h_angle,
     h_cheb3,
     h_distance,
     h_midpoint,
@@ -101,6 +102,16 @@ def test_hyperbolic_family_monotone():
         return h_distance(cm, cw) / h_alpha(m, w)
 
     assert ratio_at(0.2) < ratio_at(0.1) < ratio_at(0.05)
+
+
+def test_hyperbolic_family_meets_its_defining_equalities():
+    for k in range(17):
+        chord = 0.25 * 2.0**-k
+        (x, y, z), (_, _, u) = _hyperbolic_family(chord)
+        assert abs(h_distance(y, z) - chord) <= 1e-14
+        assert abs(h_distance(h_midpoint(x, y), z) - 0.5) <= 1e-14
+        assert abs(h_distance(h_midpoint(x, u), y) - h_distance(x, u) / 2) <= 1e-14
+        assert h_angle(x, z, u) <= 1e-14
 
 
 def test_hyperbolic_construction_satisfies_right_triangle_identities():

@@ -247,6 +247,13 @@ def test_projection_foot_is_perpendicular():
             assert abs(tri.angles[0] - math.pi / 2) < 1e-6
 
 
+def test_projection_onto_coincident_points_raises():
+    x = HyperbolicPoint.from_xy(0.4, -0.2)
+    v = HyperbolicPoint.from_xy(-0.3, 0.7)
+    with pytest.raises(DegenerateInputError):
+        h_project_to_geodesic(v, x, x)
+
+
 def test_h_alpha_matches_definition():
     a = [ORIGIN, HyperbolicPoint.from_xy(1, 0)]
     b = [ORIGIN]
