@@ -2,7 +2,7 @@
 them, a Lobachevsky-plane kernel, and verifiers for the Lipschitz behaviour
 of the center map."""
 
-from .chebyshev import ChebResult, cheb, cheb_1d, cheb_oracle
+from .chebyshev import ChebResult, cheb, cheb_oracle
 from .counterexamples import (
     lemma3_counterexample,
     lemma3_hyperbolic_counterexample,

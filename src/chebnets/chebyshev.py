@@ -19,7 +19,7 @@ result stays the same bits; `tests/meb_helpers.py` holds the generator
 form they replaced as the reference. The solve is one pass: a point that
 would make a support affinely dependent is left off it (`_mtf`). Nets of two
 points and nets on the line skip the recursion: their ball is fixed by the
-lexicographic extremes (`cheb_1d`). Before the solve the coordinates are
+lexicographic extremes in closed form. Before the solve the coordinates are
 scaled by an exact power of two, so squared lengths neither overflow nor
 underflow and the result does not depend on the scale of the net. The
 insertion order is one cached shuffle per net size, and the pivots start
@@ -29,12 +29,13 @@ row indices; `cheb` builds `Point`s for them.
 
 The second engine enumerates candidate support subsets
 (`_enumerated_balls`), solving the subsets of one size for a whole batch of
-nets at once and sharing no code with the move-to-front solver.
-`cheb_oracle` runs it on a batch of one to cross-check that solver.
-`cheb_batch` runs it on the verifiers' trials, many nets of 3 to 6 points,
-and takes the closed form of `cheb_1d` for two-point nets and nets on the
-line. The verifiers only screen their trials with `cheb_batch`: the
-figures they report come from the scalar solver (`cheb_ball`).
+nets at once and sharing no code with the move-to-front solver. It serves
+three callers in two geometries: `cheb_oracle` runs it on a batch of one to
+cross-check that solver, `cheb_batch` on the verifiers' trials, many nets
+of 3 to 6 points, and `hyperbolic.minimax_center_search` on one net of the
+hyperboloid, as the exact oracle of `h_cheb3`. The verifiers only screen
+their trials with `cheb_batch`: the figures they report come from the
+scalar solver (`cheb_ball`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, OracleBudgetError
+from .errors import DegenerateInputError, OracleBudgetError
 from .geometry import Net, Point
 from .tolerances import TAU_BALL, TAU_GEOM, TAU_RANK, geom_tol
 
@@ -57,6 +58,10 @@ _ORACLE_MAX_DIM = 6
 # `_welzl` solves a net of at most this many points by move-to-front over
 # the whole insertion order, and a larger net by farthest-point pivots.
 _MTF_MAX_POINTS = 16
+# Most support subsets, C(n, k) summed over k = 2 .. min(n, d + 1), that
+# `cheb_batch` enumerates per net: the batch beat the scalar solver at 84 and
+# 210 (8x2, 8x4) and lost at 286 and 1,573 (12x2, 12x4); suite nets need 50.
+_BATCH_MAX_SUBSETS = 256
 
 
 @dataclass(frozen=True)
@@ -266,10 +271,10 @@ def cheb_ball(net: Net) -> tuple[tuple[float, ...], float, tuple[int, ...]]:
 
     The support is given by row indices into `net.array`, in increasing
     order, and no `Point` is built. A singleton is its own ball. Two-point
-    nets and nets on the line take the closed form of `cheb_1d`, which
-    equals the move-to-front result bitwise. Every other net goes to
-    `_welzl`: move-to-front on at most `_MTF_MAX_POINTS` points,
-    farthest-point pivots on more.
+    nets and nets on the line take the midpoint of their lexicographic
+    extremes, which equals the move-to-front result bitwise. Every other
+    net goes to `_welzl`: move-to-front on at most `_MTF_MAX_POINTS`
+    points, farthest-point pivots on more.
     """
     arr = net.array
     n = len(arr)
@@ -337,19 +342,6 @@ def _pivots(arr: np.ndarray):
         support = tuple(rows[i] for i in local)
 
 
-def cheb_1d(net: Net) -> ChebResult:
-    """Closed-form Chebyshev center when the lexicographic extremes are the support.
-
-    That holds on the line and for any net of two points: the center is the
-    midpoint of the first and last point and the radius is half their
-    distance. `cheb_ball` takes this branch for those nets, so this is
-    `cheb` restricted to them.
-    """
-    if net.dim != 1 and len(net) != 2:
-        raise DimensionError(f"cheb_1d requires dim 1 or two points, got dim {net.dim}")
-    return cheb(net)
-
-
 @functools.lru_cache(maxsize=None)
 def _subsets(n: int, k: int) -> np.ndarray:
     """All k-subsets of range(n) in lexicographic order, shape (C(n, k), k)."""
@@ -371,19 +363,29 @@ def _sum_last(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sq_dists(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Squared distances from `center` (..., d) to the points `pts` (..., n, d).
+def _sq_dists(pts: np.ndarray, center: np.ndarray, sign: np.ndarray | None = None) -> np.ndarray:
+    """Squared lengths of the chords from `center` (..., d) to the points `pts` (..., n, d).
 
     Coordinates are added in index order, as `_sum_last` adds, one
-    coordinate at a time so that no (..., n, d) temporary is made.
+    coordinate at a time so that no (..., n, d) temporary is made. With a
+    `sign` vector the square of coordinate t enters times sign[t].
     """
     out = np.square(pts[..., 0] - center[..., None, 0])
+    if sign is not None:
+        out *= sign[0]
     for t in range(1, pts.shape[-1]):
-        out += np.square(pts[..., t] - center[..., None, t])
+        sq = np.square(pts[..., t] - center[..., None, t])
+        out += sq if sign is None else sign[t] * sq
     return out
 
 
-def _enumerated_balls(pts: np.ndarray):
+# The geometries of `_enumerated_balls` (the other is `hyperbolic._HYPERBOLOID`):
+# the sign vector of the form on chords (None: the dot product), the lift into
+# the model, the distance of a squared chord s, the coverage slack of radius r.
+_EUCLIDEAN = (None, lambda x: x, np.sqrt, lambda scale, r: geom_tol(scale + r))
+
+
+def _enumerated_balls(pts: np.ndarray, geometry=_EUCLIDEAN):
     """Minimum enclosing ball of each net in a (K, n, d) batch, by enumeration.
 
     Tries the subsets of 2, 3, ..., d+1 points in turn. A subset's candidate
@@ -396,17 +398,20 @@ def _enumerated_balls(pts: np.ndarray):
     done at the first size that has one. Of that size's qualifying balls it
     keeps the one whose center is nearest to covering the net (smallest
     distance to the farthest point), ties going to the first subset in
-    lexicographic order: with the coverage slack of geom_tol, a smaller
+    lexicographic order: with the coverage slack of the geometry, a smaller
     sphere that just misses a point (near-duplicate points) can qualify
-    too, and this picks the truly covering one. The subsets of one size
-    are solved for every open net as a single batch of Gram systems;
-    affinely dependent subsets (eigenvalue ratio at most TAU_RANK) are
-    skipped.
+    too, and this picks the truly covering one. The subsets of one size are
+    solved for every open net as a single batch of Gram systems; affinely
+    dependent subsets (eigenvalue ratio at most TAU_RANK) are skipped.
+
+    A subset's center solves 2 G lam = diag(G), G the Gram matrix of its
+    chords in the geometry's form. On the hyperboloid the chords of four
+    points span R^3, so their solution is 0, which has no lift.
 
     Returns (centers (K, d), radii (K,), support (K, m), weights (K, m)),
-    m = min(n, d + 1): the support indices are padded with -1 and their
-    weights with 0. A net with no qualifying candidate gets a NaN center and
-    an infinite radius.
+    m = min(n, d + 1): the centers are the solved points before the lift,
+    the support indices are padded with -1 and their weights with 0. A net
+    with no qualifying candidate gets a NaN center and an infinite radius.
     """
     count, n, dim = pts.shape
     scale = np.abs(pts).max(axis=(1, 2))
@@ -415,6 +420,7 @@ def _enumerated_balls(pts: np.ndarray):
     radii = np.full(count, np.inf)
     support = np.full((count, width), -1, dtype=np.intp)
     weights = np.zeros((count, width))
+    sign, lift, dist, slack = geometry
     todo = np.arange(count)
     for k in range(2, width + 1):
         idx = _subsets(n, k)
@@ -422,9 +428,9 @@ def _enumerated_balls(pts: np.ndarray):
         sub = nets[:, idx]  # (open nets, subsets, k, dim)
         base = sub[:, :, 0]
         dirs = sub[:, :, 1:] - base[:, :, None, :]
-        gram = 2.0 * dirs @ dirs.swapaxes(-1, -2)
-        rhs = _sum_last(dirs * dirs)
-        ev = np.linalg.eigvalsh(gram)  # ascending; a Gram matrix is symmetric PSD
+        gram = 2.0 * (dirs if sign is None else dirs * sign) @ dirs.swapaxes(-1, -2)
+        rhs = 0.5 * gram.diagonal(axis1=-2, axis2=-1)
+        ev = np.linalg.eigvalsh(gram)  # ascending; the chord Gram matrix is symmetric PSD
         ok = ev[..., 0] > TAU_RANK * ev[..., -1]
         if not ok.any():
             continue
@@ -433,11 +439,11 @@ def _enumerated_balls(pts: np.ndarray):
         lam = np.linalg.solve(gram[ok], rhs[ok][..., None])[..., 0]
         w = np.concatenate([1.0 - _sum_last(lam)[:, None], lam], axis=1)
         c = base + _sum_last((lam[:, :, None] * dirs).swapaxes(1, 2))
-        r = np.sqrt(_sq_dists(sub, c).max(axis=1))
-        every = np.full(ok.shape + (dim,), np.nan)  # the centers, one row per subset
-        every[ok] = c
-        reach = np.sqrt(_sq_dists(nets[:, None], every).max(axis=-1))[ok]
-        covers = (w.min(axis=1) >= -TAU_GEOM) & (reach <= r + geom_tol(scale[owner] + r))
+        every = np.full(ok.shape + (dim,), np.nan)  # the lifted centers, one row per subset
+        every[ok] = lifted = lift(c)
+        r = dist(_sq_dists(sub, lifted, sign).max(axis=1))
+        reach = dist(_sq_dists(nets[:, None], every, sign).max(axis=-1))[ok]
+        covers = (w.min(axis=1) >= -TAU_GEOM) & (reach <= r + slack(scale[owner], r))
         cand = np.full(ok.shape, np.inf)
         cand[ok] = np.where(covers, reach, np.inf)
         first = cand.argmin(axis=1)  # first minimum in subset order
@@ -459,11 +465,13 @@ def cheb_batch(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     `pts` holds the nets as one (K, n, d) array; a net may repeat a point,
     which leaves its ball unchanged. Nets on the line and two-point nets
-    take the closed form of `cheb_1d`, whose center (the midpoint of the
+    take the closed form of `cheb_ball`, whose center (the midpoint of the
     lexicographic extremes) it equals bitwise. Larger nets take the
     support-subset enumeration that `cheb_oracle` runs (`_enumerated_balls`);
-    a net it cannot certify gets a NaN center. The verifiers screen their
-    trials with this kernel and re-measure the reported ones with `cheb`.
+    a net it cannot certify gets a NaN center, and so does every net of more
+    than `_BATCH_MAX_SUBSETS` support subsets. The verifiers screen their
+    trials with this kernel and re-measure with the scalar solver the
+    reported ones and those with a NaN center.
     """
     count, n, dim = pts.shape
     if n == 1:
@@ -472,6 +480,8 @@ def cheb_batch(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = pts.min(axis=1), pts.max(axis=1)
     elif n == 2:
         lo, hi = pts[:, 0], pts[:, 1]
+    elif sum(math.comb(n, k) for k in range(2, min(n, dim + 1) + 1)) > _BATCH_MAX_SUBSETS:
+        return np.full((count, dim), np.nan), np.full(count, np.inf)
     else:
         centers, radii, _, _ = _enumerated_balls(pts)
         return centers, radii

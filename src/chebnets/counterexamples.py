@@ -165,16 +165,20 @@ def lemma3_hyperbolic_counterexample(
     """Hyperbolic witness pair with displacement/alpha ratio above `target`.
 
     Halves the chord parameter until the measured ratio (via h_cheb3 and the
-    hyperbolic Hausdorff distance) exceeds the target.
+    hyperbolic Hausdorff distance) exceeds the target; DegenerateInputError
+    once the two nets are equal in doubles.
     """
     if target <= 0:
         raise DomainError(f"target must be positive, got {target}")
     chord = 0.25
     for _ in range(200):
         m, w = _hyperbolic_family(chord)
+        alpha = h_alpha(m, w)
+        if alpha == 0.0:
+            raise DegenerateInputError(f"the witness nets are equal in doubles at chord {chord!r}")
         center_m, _ = h_cheb3(*m)
         center_w, _ = h_cheb3(*w)
-        ratio = h_distance(center_m, center_w) / h_alpha(m, w)
+        ratio = h_distance(center_m, center_w) / alpha
         if ratio > target:
             return m, w, ratio
         chord /= 2.0

@@ -9,23 +9,21 @@ Tangent vectors at p satisfy <p,v> = 0 and carry the positive norm
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .chebyshev import _enumerated_balls
 from .errors import DegenerateInputError, DomainError, ModelError
 from .hausdorff import hausdorff_distance
-from .tolerances import TAU_ANGLE, TAU_GEOM, TAU_RANK, geom_tol
+from .tolerances import TAU_ANGLE, TAU_GEOM, geom_tol
 
 Vec3 = tuple[float, float, float]
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_RESIDUAL = 1e-12
-
-_MINKOWSKI = np.diag([1.0, -1.0, -1.0])
 
 
 def minkowski_inner(a: Sequence[float], b: Sequence[float]) -> float:
@@ -238,61 +236,48 @@ def _max_distance(center: HyperbolicPoint, pts: Sequence[HyperbolicPoint]) -> fl
     return max(h_distance(center, p) for p in pts)
 
 
-def _equidistant_point(support: Sequence[HyperbolicPoint]) -> HyperbolicPoint | None:
-    """Point equidistant from `support` in the span of its points, or None.
+def _onto_sheet(x: np.ndarray) -> np.ndarray:
+    """`HyperbolicPoint.on_sheet` on each row of a (..., 3) array; NaN where not timelike."""
+    q = x[..., 0] * x[..., 0] - x[..., 1] * x[..., 1] - x[..., 2] * x[..., 2]
+    s = 1.0 / np.sqrt(np.where(q > 0.0, q, np.nan))
+    return x * np.copysign(s, x[..., 0])[..., None]
 
-    The point is x ~ sum_i lam_i p_i with lam = G^-1 * 1 for the Minkowski
-    Gram matrix G_ij = <p_i, p_j>. The same x is solved here on the chords
-    d_i = p_i - p_0: x = p_0 + sum_i mu_i d_i with
-    sum_i mu_i <d_i, d_j> = <d_j, d_j> / 2, because <p_0, d_j> = -<d_j, d_j> / 2.
-    G tends to the all-ones matrix as the points close up; the chord system
-    keeps its digits at any spread. None means the system is singular
-    (collinear points) or x is not timelike.
-    """
-    base = np.array(support[0].coords)
-    chords = np.array([p.coords for p in support[1:]]) - base
-    gram = chords @ _MINKOWSKI @ chords.T
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] <= TAU_RANK * sv[0]:
-        return None
-    mu = np.linalg.solve(gram, 0.5 * np.diag(gram))
-    x = tuple((base + mu @ chords).tolist())
-    if minkowski_inner(x, x) <= 0:
-        return None
-    return HyperbolicPoint.on_sheet(x)
+
+# The hyperboloid for `_enumerated_balls`. Its chords are spacelike, so the form
+# (-1, 1, 1) gives them a positive definite Gram matrix, and a chord of squared
+# length s spans the distance 2 asinh(sqrt(s) / 2), as in `h_distance`.
+_HYPERBOLOID = (
+    np.array([-1.0, 1.0, 1.0]),
+    _onto_sheet,
+    lambda s: 2.0 * np.arcsinh(np.sqrt(np.maximum(s, 0.0)) / 2.0),
+    lambda scale, r: geom_tol(r),
+)
 
 
 def minimax_center_search(pts: Sequence[HyperbolicPoint]) -> tuple[HyperbolicPoint, float]:
     """Exact minimax center and radius of finite hyperbolic points, by enumeration.
 
     In H^2 the minimum enclosing ball is fixed by at most three of the points
-    and its center is equidistant from them. So every pair and triple gives a
-    candidate center (`_equidistant_point`); the candidates whose ball covers
-    all points are kept and the smallest is returned, which makes the result
-    exact for any number of points. Duplicates are dropped first; a single
-    point is its own center with radius 0. The search does not use h_cheb3 or
-    its Newton solve: it is the independent oracle for h_cheb3 and also its
-    fallback.
+    and its center is equidistant from them: x = p_0 + sum_i mu_i d_i on the
+    chords d_i = p_i - p_0, normalised, with sum_i mu_i <d_i, d_j> =
+    <d_j, d_j> / 2, because <p_0, d_j> = -<d_j, d_j> / 2 on the sheet. That is
+    the Gram system of the Euclidean enumeration in the Minkowski form, and on
+    the chords it keeps its digits at any spread; so the points go to
+    `_enumerated_balls` as one net of the hyperboloid. Duplicates are dropped
+    first; a single point is its own center with radius 0. The search does
+    not use h_cheb3 or its Newton solve: it is the independent oracle for
+    h_cheb3 and also its fallback.
     """
     unique = list({p.coords: p for p in pts}.values())
     if not unique:
         raise DomainError("the minimax center of an empty set is undefined")
     if len(unique) == 1:
         return unique[0], 0.0
-    best = None
-    for k in (2, 3):
-        for support in itertools.combinations(unique, k):
-            center = _equidistant_point(support)
-            if center is None:
-                continue
-            radius = _max_distance(center, support)
-            if best is not None and radius >= best[1]:
-                continue
-            if _max_distance(center, unique) <= radius + geom_tol(radius):
-                best = (center, radius)
-    if best is None:
+    centers, radii, _, _ = _enumerated_balls(np.array([[p.coords for p in unique]]), _HYPERBOLOID)
+    if not np.isfinite(radii[0]):
         raise DegenerateInputError("no candidate ball covers the points")
-    return best[0], _max_distance(best[0], unique)
+    center = HyperbolicPoint.on_sheet(tuple(centers[0].tolist()))
+    return center, _max_distance(center, unique)
 
 
 def _newton_circumcenter(pts: Sequence[HyperbolicPoint]) -> HyperbolicPoint | None:

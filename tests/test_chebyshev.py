@@ -11,11 +11,11 @@ from chebnets.chebyshev import (
     _circumball,
     _welzl,
     cheb,
-    cheb_1d,
+    cheb_ball,
     cheb_batch,
     cheb_oracle,
 )
-from chebnets.errors import DegenerateInputError, DimensionError, OracleBudgetError
+from chebnets.errors import DegenerateInputError, OracleBudgetError
 from chebnets.geometry import Net, Point, distance
 from chebnets.tolerances import TAU_GEOM, geom_tol
 from meb_helpers import _affine_weights, support_barycentric
@@ -88,29 +88,22 @@ def test_singleton():
     assert result.support == net.points
 
 
-def test_cheb_1d_examples():
-    r = cheb_1d(Net.of([(0,), (1,), (2,)]))
+def test_closed_form_examples():
+    r = cheb(Net.of([(0,), (1,), (2,)]))
     assert r.center == Point((1,)) and r.radius == 1
-    r = cheb_1d(Net.of([(5,)]))
+    r = cheb(Net.of([(5,)]))
     assert r.center == Point((5,)) and r.radius == 0
-    r = cheb_1d(Net.of([(-3,), (0,), (0.5,), (7,)]))
+    r = cheb(Net.of([(-3,), (0,), (0.5,), (7,)]))
     assert r.center == Point((2,)) and r.radius == 5
-    with pytest.raises(DimensionError):
-        cheb_1d(Net.of([(0, 0)]))
 
 
-def test_cheb_1d_agrees_with_cheb_exactly():
-    # cheb answers these nets with cheb_1d; the move-to-front path must agree bitwise.
+def test_closed_form_agrees_with_welzl_exactly():
+    # cheb_ball answers these nets in closed form; the move-to-front path must agree bitwise.
     rng = np.random.default_rng(11)
     line_nets = [random_net(rng, int(rng.integers(1, 9)), 1) for _ in range(400)]
     pair_nets = [random_net(rng, 2, dim) for dim in range(2, 6) for _ in range(100)]
     for net in line_nets + pair_nets:
-        fast = cheb_1d(net)
-        full = chebyshev._result(net, *_welzl(net))
-        assert fast.center == full.center
-        assert fast.radius == full.radius
-        assert fast.support == full.support
-        assert cheb(net) == fast
+        assert cheb_ball(net) == _welzl(net)
 
 
 def test_circumball_weights_match_affine_weights():
@@ -472,7 +465,7 @@ def assert_kernel_matches_welzl(coords):
     assert np.abs(center[0] - ref_center).max() <= 1e-12 * scale
     assert abs(radius[0] - ref_radius) <= 1e-12 * scale
     if len(net) == 2 or net.dim == 1:
-        assert tuple(center[0].tolist()) == cheb_1d(net).center.coords
+        assert tuple(center[0].tolist()) == cheb(net).center.coords
 
 
 _GRID = st.integers(-16, 16).map(lambda k: k / 8)

@@ -110,6 +110,15 @@ def test_counterexample_hyperbolic(capsys):
     assert all(p["model"] == "hyperboloid" for p in doc["net_a"])
 
 
+def test_counterexample_hyperbolic_past_double_precision_exits_1(capsys):
+    # At chord 0.25 * 2**-25 the two witness nets round to the same points.
+    assert main(["counterexample", "--hyperbolic", "--target", "1e8", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("chebnets: error:")
+    assert repr(0.25 * 2.0**-25) in captured.err
+
+
 def test_sequence_subcommand_csv(capsys):
     assert main(["sequence", "--nmax", "20", "--quiet"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

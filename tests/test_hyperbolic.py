@@ -149,6 +149,10 @@ def test_cheb3_fallback_matches_newton_path(monkeypatch):
 
 def test_cheb3_falls_back_when_newton_leaves_the_model():
     # Far from ORIGIN a Newton iterate is not timelike and h_exp raises ModelError.
+    # The pinned oracle radius is not an accurate one: these inputs are off the
+    # sheet by up to 4e-6 in <p,p>, and a 60-digit mpmath solve of G lam = 1
+    # (G_ij = <p_i, p_j>) on the raw coordinates gives 2.05129514634947, 4.5e-8
+    # from the pin. The pin guards the order of the Gram arithmetic.
     pts = [
         HyperbolicPoint((109919.91627438877, -23350.347466198273, -107411.12263623561)),
         HyperbolicPoint((185896.08895300885, -39480.45013710212, -181655.30530099245)),
@@ -169,6 +173,47 @@ def test_minimax_center_search_small_inputs():
     assert radius == pytest.approx(h_distance(p, q) / 2, abs=1e-12)
     with pytest.raises(DomainError):
         minimax_center_search([])
+
+
+def random_net_near(rng, size, far, spread):
+    """`size` points within `spread` of a center that lies `far` from ORIGIN."""
+    e1, e2 = tangent_basis(ORIGIN)
+    t = rng.uniform(0, 2 * math.pi)
+    center = h_exp(ORIGIN, tuple(far * (math.cos(t) * a + math.sin(t) * b) for a, b in zip(e1, e2)))
+    f1, f2 = tangent_basis(center)
+    pts = []
+    for _ in range(size):
+        t, r = rng.uniform(0, 2 * math.pi), spread * math.sqrt(rng.uniform())
+        pts.append(h_exp(center, tuple(r * (math.cos(t) * a + math.sin(t) * b) for a, b in zip(f1, f2))))
+    return pts
+
+
+def test_minimax_center_search_certificate_on_nets():
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        spread = 10 ** rng.uniform(-2, math.log10(2))
+        pts = random_net_near(rng, int(rng.integers(4, 13)), rng.uniform(0, 6 - spread), spread)
+        assert max(h_distance(ORIGIN, p) for p in pts) <= 6
+        center, radius = minimax_center_search(pts)
+        assert all(h_distance(center, p) <= radius + 1e-9 for p in pts)
+        e1, e2 = tangent_basis(center)
+        for i in range(16):
+            theta = 2 * math.pi * i / 16
+            step = tuple(1e-6 * (math.cos(theta) * a + math.sin(theta) * b) for a, b in zip(e1, e2))
+            moved = h_exp(center, step)
+            assert max(h_distance(moved, p) for p in pts) >= radius
+
+
+def test_minimax_center_search_slack_does_not_scale_with_coordinates():
+    # About 7 from ORIGIN: a coverage slack scaled by the coordinates (~458)
+    # accepted a pair ball here that was 4.4e-7 too large.
+    pts = [
+        HyperbolicPoint((458.3002141002915, -33.743199309878854, 457.05522942496435)),
+        HyperbolicPoint((458.2716223774068, -33.74117124968208, 457.0267095467399)),
+        HyperbolicPoint((458.3906773013553, -33.75002031194042, 457.14543546418446)),
+    ]
+    _, radius = minimax_center_search(pts)
+    assert abs(radius - h_cheb3(*pts)[1]) <= 1e-9
 
 
 def test_cheb3_minimax_certificate():

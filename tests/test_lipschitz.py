@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chebnets.lipschitz as lip
+from chebnets import chebyshev
 from chebnets.errors import DomainError, InconsistencyError
 from chebnets.geometry import Net
 from chebnets.lipschitz import (
@@ -170,3 +171,36 @@ def test_random_net_redraws_exact_repeats():
     net = random_net(_ScriptedRng(rows), 3, 2)
     assert net == _random_net_per_point(_ScriptedRng(rows), 3, 2)
     assert net == Net.of([(0.5, 0.5), (-0.25, 0.0), (0.75, -1.0)])
+
+
+def test_batch_screen_is_bounded_in_support_subsets(monkeypatch):
+    # A regular 24-gon has C(24, 2) + C(24, 3) = 2,300 support subsets, above
+    # the bound, so no net of it may reach the enumeration: every pair is
+    # re-measured with the scalar solver, and the sup is that of every pair.
+    enumerated = chebyshev._enumerated_balls
+
+    def bounded(pts, *geometry):
+        _, n, dim = pts.shape
+        subsets = sum(math.comb(n, k) for k in range(2, min(n, dim + 1) + 1))
+        if subsets > chebyshev._BATCH_MAX_SUBSETS:
+            raise AssertionError(f"enumerated {subsets} support subsets")
+        return enumerated(pts, *geometry)
+
+    monkeypatch.setattr(chebyshev, "_enumerated_balls", bounded)
+    angles = [2.0 * math.pi * i / 24 for i in range(24)]
+    base = Net.of([(math.cos(a), math.sin(a)) for a in angles])
+    spec = NeighborhoodSpec(base, default_epsilon(base), 20, seed=4)
+    sup, worst = estimate_local_lipschitz(spec)
+
+    rng = np.random.default_rng(spec.seed)
+    coords = base.coord_list()
+    pairs = [
+        [lip._perturbed_points(rng, coords, spec.epsilon, 2) for _ in range(2)]
+        for _ in range(spec.sample_count)
+    ]
+    expected, sample = worst_of(sample_pair(Net.of(a), Net.of(b)) for a, b in pairs)
+    assert sup == expected
+    assert worst.ratio == sample.ratio and worst.alpha_ab == sample.alpha_ab
+    # a net just above the bound (12 points in the plane: 286 subsets) is not enumerated either
+    centers, radii = chebyshev.cheb_batch(np.zeros((3, 12, 2)))
+    assert np.isnan(centers).all() and np.isinf(radii).all()
