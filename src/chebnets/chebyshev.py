@@ -6,24 +6,26 @@ verifiers solve, goes to the incremental randomized move-to-front
 algorithm with explicit support-set maintenance (Welzl 1991). A larger net
 starts from a one-point ball that grows by farthest-point pivots
 (Gaertner, "Fast and robust smallest enclosing balls", ESA 1999): one
-numpy pass over the net finds the point farthest from the center, and
-move-to-front solves again only on the support plus that point, so only
-those rows become tuples. Each support set costs one Gram solve:
+numpy pass over the net (`_sq_dists`) finds the point farthest from the
+center, and move-to-front solves again only on the support plus that point,
+so only those rows become tuples. Each support set costs one Gram solve:
 `_circumball` returns the ball together with the barycentric weights of its
 center, and those weights certify that the center lies in the support's
-convex hull, with no second solve. `_circumball` and `_solve` are plain
-loops with a fixed operation order: each dot product and sum starts at 0.0
-and adds left to right, and the pivot is the first row of largest `abs`.
-A rewrite of them must keep those operations in that order, so that every
-result stays the same bits; `tests/meb_helpers.py` holds the generator
-form they replaced as the reference. The solve is one pass: a point that
-would make a support affinely dependent is left off it (`_mtf`). Nets of two
-points and nets on the line skip the recursion: their ball is fixed by the
-lexicographic extremes in closed form. Before the solve the coordinates are
-scaled by an exact power of two, so squared lengths neither overflow nor
-underflow and the result does not depend on the scale of the net. The
-insertion order is one cached shuffle per net size, and the pivots start
-from the net's first row, so the result is a function of the net alone.
+convex hull, with no second solve. Supports of three and four points, most
+of the solves, run straight-line code; larger ones build the Gram matrix in
+loops and call `_solve`. Both keep a fixed operation order: each dot
+product and sum starts at 0.0 and adds left to right, and the pivot is the
+first row of largest `abs`. A rewrite must keep those operations in that
+order, so that every result stays the same bits; `tests/meb_helpers.py`
+holds the generator form they replaced as the reference. The solve is one
+pass: a point that would make a support affinely dependent is left off it
+(`_mtf`). Nets of two points and nets on the line skip the recursion: their
+ball is fixed by the lexicographic extremes in closed form. Before the
+solve the coordinates are scaled by an exact power of two, so squared
+lengths neither overflow nor underflow and the result does not depend on
+the scale of the net. The insertion order is one cached shuffle per net
+size, and the pivots start from the net's first row, so the result is a
+function of the net alone.
 `cheb_ball` returns the center's coordinates, the radius and the support's
 row indices; `cheb` builds `Point`s for them.
 
@@ -87,27 +89,12 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     Plain loops that do the operations of the generator form kept in
     `tests/meb_helpers.py`, in its order, so the two agree bitwise on every
     interpreter: the pivot is the first row with the strictly largest
-    `abs`, every sum starts at 0.0 and adds left to right (the built-in
-    `sum` of floats is compensated from Python 3.12 on), and a 2x2 system
-    runs the same operations unrolled.
+    `abs`, and every sum starts at 0.0 and adds left to right (the built-in
+    `sum` of floats is compensated from Python 3.12 on). `_circumball`
+    solves the 2x2 and 3x3 systems of three- and four-point supports itself,
+    so this runs on supports of five points and more.
     """
     m = len(rhs)
-    if m == 2:  # the loops below unrolled, for the many three-point supports
-        (a00, a01), (a10, a11) = matrix
-        r0, r1 = rhs
-        scale = max(abs(a00), abs(a01), abs(a10), abs(a11))
-        if abs(a10) > abs(a00):
-            a00, a01, r0, a10, a11, r1 = a10, a11, r1, a00, a01, r0
-        if abs(a00) <= TAU_RANK * scale:
-            raise DegenerateInputError("near-singular circumball system")
-        f = a10 * (1.0 / a00)
-        if f != 0.0:
-            a11 -= f * a01
-            r1 -= f * r0
-        if abs(a11) <= TAU_RANK * scale:
-            raise DegenerateInputError("near-singular circumball system")
-        x1 = r1 / a11
-        return [(r0 - (0.0 + a01 * x1)) / a00, x1]
     a = [row + [r] for row, r in zip(matrix, rhs)]
     scale = max(map(abs, itertools.chain.from_iterable(matrix)), default=0.0)
     for col in range(m):
@@ -151,6 +138,17 @@ def _circumball(
     mirrored (`x * y == y * x` bitwise), so the result does not depend on
     the interpreter's `sum`; `tests/meb_helpers.py` keeps the generator
     form as the bitwise reference.
+
+    Supports of three and four points, 45% of the calls in a `meb` round
+    and 78% of this function's time there in the loop form, take
+    straight-line branches that do the loops' and `_solve`'s operations in
+    their order on named scalars: one pass over the coordinates forms the
+    chords and every Gram entry, the elimination keeps the first strictly
+    largest pivot, the `f != 0.0` guard and each near-singular raise, and
+    the center is `((p_0 + l_0 d_0) + l_1 d_1) + l_2 d_2`, each chord
+    coordinate recomputed by the same subtraction. The largest entry that
+    scales the rank test is taken over the upper triangle of the symmetric
+    matrix, from its first entry, which gives the full matrix's maximum.
     """
     k = len(pts)
     if k == 1:
@@ -160,6 +158,88 @@ def _circumball(
         # Halving first is exact for normal floats and keeps x + y from overflowing.
         c = tuple(x / 2.0 + y / 2.0 for x, y in zip(a, b))
         return c, max(math.dist(c, a), math.dist(c, b)), (0.5, 0.5)
+    if k == 3:
+        p0, p1, p2 = pts
+        xx = xy = yy = 0.0
+        for o, a, b in zip(p0, p1, p2):
+            u, v = a - o, b - o
+            xx += u * u
+            xy += u * v
+            yy += v * v
+        a00, a01, r0 = 2.0 * xx, 2.0 * xy, xx
+        a10, a11, r1 = a01, 2.0 * yy, yy
+        tol = TAU_RANK * max(abs(a00), abs(a01), abs(a11))
+        if abs(a10) > abs(a00):
+            a00, a01, r0, a10, a11, r1 = a10, a11, r1, a00, a01, r0
+        if abs(a00) <= tol:
+            raise DegenerateInputError("near-singular circumball system")
+        f = a10 * (1.0 / a00)
+        if f != 0.0:
+            a11 -= f * a01
+            r1 -= f * r0
+        if abs(a11) <= tol:
+            raise DegenerateInputError("near-singular circumball system")
+        l1 = r1 / a11
+        l0 = (r0 - (0.0 + a01 * l1)) / a00
+        c = tuple([(o + l0 * (a - o)) + l1 * (b - o) for o, a, b in zip(p0, p1, p2)])
+        radius = max(math.dist(c, p0), math.dist(c, p1), math.dist(c, p2))
+        return c, radius, (1.0 - ((0.0 + l0) + l1), l0, l1)
+    if k == 4:
+        p0, p1, p2, p3 = pts
+        xx = xy = xz = yy = yz = zz = 0.0
+        for o, a, b, e in zip(p0, p1, p2, p3):
+            u, v, w = a - o, b - o, e - o
+            xx += u * u
+            xy += u * v
+            xz += u * w
+            yy += v * v
+            yz += v * w
+            zz += w * w
+        a00, a01, a02, r0 = 2.0 * xx, 2.0 * xy, 2.0 * xz, xx
+        a10, a11, a12, r1 = a01, 2.0 * yy, 2.0 * yz, yy
+        a20, a21, a22, r2 = a02, a12, 2.0 * zz, zz
+        tol = TAU_RANK * max(abs(a00), abs(a01), abs(a02), abs(a11), abs(a12), abs(a22))
+        big = abs(a00)
+        if abs(a10) > big:
+            big = abs(a10)
+            if abs(a20) > big:  # row 2 is the pivot; rows 0 and 2 trade places
+                big = abs(a20)
+                a00, a01, a02, r0, a20, a21, a22, r2 = a20, a21, a22, r2, a00, a01, a02, r0
+            else:
+                a00, a01, a02, r0, a10, a11, a12, r1 = a10, a11, a12, r1, a00, a01, a02, r0
+        elif abs(a20) > big:
+            big = abs(a20)
+            a00, a01, a02, r0, a20, a21, a22, r2 = a20, a21, a22, r2, a00, a01, a02, r0
+        if big <= tol:
+            raise DegenerateInputError("near-singular circumball system")
+        inv = 1.0 / a00
+        f = a10 * inv
+        if f != 0.0:
+            a11 -= f * a01
+            a12 -= f * a02
+            r1 -= f * r0
+        f = a20 * inv
+        if f != 0.0:
+            a21 -= f * a01
+            a22 -= f * a02
+            r2 -= f * r0
+        if abs(a21) > abs(a11):
+            a11, a12, r1, a21, a22, r2 = a21, a22, r2, a11, a12, r1
+        if abs(a11) <= tol:
+            raise DegenerateInputError("near-singular circumball system")
+        f = a21 * (1.0 / a11)
+        if f != 0.0:
+            a22 -= f * a12
+            r2 -= f * r1
+        if abs(a22) <= tol:
+            raise DegenerateInputError("near-singular circumball system")
+        l2 = r2 / a22
+        l1 = (r1 - (0.0 + a12 * l2)) / a11
+        l0 = (r0 - ((0.0 + a01 * l1) + a02 * l2)) / a00
+        c = tuple([((o + l0 * (a - o)) + l1 * (b - o)) + l2 * (e - o)
+                   for o, a, b, e in zip(p0, p1, p2, p3)])
+        radius = max(math.dist(c, p0), math.dist(c, p1), math.dist(c, p2), math.dist(c, p3))
+        return c, radius, (1.0 - (((0.0 + l0) + l1) + l2), l0, l1, l2)
     base = pts[0]
     dirs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
     m = k - 1
@@ -312,12 +392,12 @@ def _pivots(arr: np.ndarray):
     """Minimum enclosing ball of the rows of `arr`, grown from its first row by pivots.
 
     Returns the ball as `_mtf` does, with support indices into `arr`. One
-    array pass finds the row farthest from the center (Gaertner 1999), and
-    while it lies outside the ball, `_mtf` solves again on the support with
-    that row on the boundary. The row lies outside the ball of the support,
-    so it lies on the sphere of the new ball. Only the rows of the support
-    and the pivot become tuples, and no per-point Python scan runs over the
-    rest of the net.
+    array pass, `_sq_dists` with no (n, d) temporary, finds the row farthest
+    from the center (Gaertner 1999), and while it lies outside the ball,
+    `_mtf` solves again on the support with that row on the boundary. The
+    row lies outside the ball of the support, so it lies on the sphere of
+    the new ball. Only the rows of the support and the pivot become tuples,
+    and no per-point Python scan runs over the rest of the net.
 
     In exact arithmetic each pivot grows the radius strictly: the new ball
     encloses the old support, whose minimum enclosing ball is the old ball,
@@ -328,8 +408,7 @@ def _pivots(arr: np.ndarray):
     """
     center, radius, support, weights = tuple(arr[0].tolist()), 0.0, (0,), (1.0,)
     while True:
-        gap = arr - center
-        d2 = np.einsum("ij,ij->i", gap, gap)
+        d2 = _sq_dists(arr, np.asarray(center))
         far = int(d2.argmax())
         if d2[far] <= (radius * (1.0 + TAU_BALL)) ** 2:
             return center, radius, support, weights

@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chebyshev import _enumerated_balls
-from .errors import DegenerateInputError, DomainError, ModelError
+from .chebyshev import _ORACLE_MAX_POINTS, _enumerated_balls
+from .errors import DegenerateInputError, DomainError, ModelError, OracleBudgetError
 from .hausdorff import hausdorff_distance
 from .tolerances import TAU_ANGLE, TAU_GEOM, geom_tol
 
@@ -266,11 +266,15 @@ def minimax_center_search(pts: Sequence[HyperbolicPoint]) -> tuple[HyperbolicPoi
     `_enumerated_balls` as one net of the hyperboloid. Duplicates are dropped
     first; a single point is its own center with radius 0. The search does
     not use h_cheb3 or its Newton solve: it is the independent oracle for
-    h_cheb3 and also its fallback.
+    h_cheb3 and also its fallback. Like `cheb_oracle` it raises
+    OracleBudgetError on more than `_ORACLE_MAX_POINTS` distinct points: the
+    enumeration's memory grows like n^4 (about 2 GB for 200 points).
     """
     unique = list({p.coords: p for p in pts}.values())
     if not unique:
         raise DomainError("the minimax center of an empty set is undefined")
+    if len(unique) > _ORACLE_MAX_POINTS:
+        raise OracleBudgetError(f"oracle guard: {len(unique)} points exceed {_ORACLE_MAX_POINTS}")
     if len(unique) == 1:
         return unique[0], 0.0
     centers, radii, _, _ = _enumerated_balls(np.array([[p.coords for p in unique]]), _HYPERBOLOID)

@@ -254,6 +254,31 @@ def support_sets(rng, per_family):
         yield family, [tuple(p) for p in pts.tolist()]
 
 
+# Supports that reach every branch of the straight-line 3- and 4-point
+# solves: each column-0 pivot row, the column-1 swap, ties in columns 0 and
+# 1 that the first row must win (a swap changes the last bits), a zero
+# multiplier (f == 0.0, orthogonal chords) and each near-singular raise
+# ("singular" in the name).
+NAMED_SUPPORTS = {
+    "3: column-0 pivot in row 1": [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)],
+    "3: f == 0": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    "3: singular in column 0": [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)],
+    "3: singular in column 1": [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+    "4: column-0 pivot in row 1": [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+    "4: column-0 pivot in row 2, past row 1":
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 1.0, 0.0), (3.0, 0.0, 1.0)],
+    "4: column-0 pivot in row 2": [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (2.0, 0.0, 1.0)],
+    "4: column-0 tie of rows 1 and 2, no swap":
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.81, 0.0), (2.0, 0.82, 0.54)],
+    "4: column-1 swap": [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 2.0, 1.0)],
+    "4: column-1 tie, no swap": [(0.0, 0.0, 0.0), (1.0, 0.0, 0.27), (0.0, 0.53, 0.0), (0.0, 0.53, 0.53)],
+    "4: f == 0 in both columns": [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+    "4: singular in column 0": [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+    "4: singular in column 1": [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+    "4: singular in column 2": [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
+}
+
+
 def circumball_outcome(circumball, pts) -> str:
     try:
         return repr(circumball(pts))
@@ -273,6 +298,10 @@ def test_circumball_matches_generator_reference_bitwise():
         outcomes[family].add(expected == "DegenerateInputError")
     assert all(outcomes[family] == {True, False} for family in ("uniform", "lattice", "scale", "ties"))
     assert True in outcomes["twins"] and True in outcomes["dependent"]
+    for name, pts in NAMED_SUPPORTS.items():
+        expected = circumball_outcome(reference_circumball, pts)
+        assert circumball_outcome(_circumball, pts) == expected, name
+        assert (expected == "DegenerateInputError") == ("singular" in name), name
 
 
 # Twins 1e-9 apart: the move-to-front solve meets near-singular supports
@@ -341,6 +370,24 @@ def test_near_duplicate_nets_solve():
         twins = base + gap * rng.normal(size=base.shape) / math.sqrt(dim)
         net = Net.of(np.vstack([base, twins]).tolist())
         assert_valid(cheb(net), net)
+
+
+def test_solve_on_generator_reference_kernel_is_bitwise_equal(monkeypatch):
+    # The whole move-to-front solve gives the same bits, or the same raise,
+    # on the plain-loop Gram kernel and on the generator reference: seeded
+    # nets of 3 to 16 points in d 2..6, every third with twins 1e-9 apart.
+    rng = np.random.default_rng(61)
+    nets = [Net.of(RETRY_NET), Net.of(NEAR_DUPLICATE_NET)]
+    for i in range(300):
+        n, dim = int(rng.integers(3, 17)), int(rng.integers(2, 7))
+        pts = rng.uniform(-1, 1, (n, dim))
+        if i % 3 == 0:
+            half = pts[: (n + 1) // 2]
+            pts = np.vstack([half, half + 1e-9 * rng.normal(size=half.shape)])[:n]
+        nets.append(Net.of(pts.tolist()))
+    fast = [circumball_outcome(cheb_ball, net) for net in nets]
+    monkeypatch.setattr(chebyshev, "_circumball", reference_circumball)
+    assert [circumball_outcome(cheb_ball, net) for net in nets] == fast
 
 
 def test_support_outside_hull_is_rejected():

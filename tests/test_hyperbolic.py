@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chebnets import hyperbolic
-from chebnets.errors import DegenerateInputError, DomainError, ModelError
+from chebnets.errors import DegenerateInputError, DomainError, ModelError, OracleBudgetError
 from chebnets.hyperbolic import (
     ORIGIN,
     HyperbolicPoint,
@@ -173,6 +173,22 @@ def test_minimax_center_search_small_inputs():
     assert radius == pytest.approx(h_distance(p, q) / 2, abs=1e-12)
     with pytest.raises(DomainError):
         minimax_center_search([])
+
+
+def test_minimax_center_search_budget_guard(monkeypatch):
+    # 13 distinct points exceed the guard, which must raise before any
+    # support subset is enumerated; 12 points and duplicates are solved.
+    def no_enumeration(*args):
+        raise AssertionError("the enumeration ran")
+
+    rng = np.random.default_rng(13)
+    pts = [random_point(rng) for _ in range(13)]
+    monkeypatch.setattr(hyperbolic, "_enumerated_balls", no_enumeration)
+    with pytest.raises(OracleBudgetError):
+        minimax_center_search(pts)
+    monkeypatch.undo()
+    center, radius = minimax_center_search(pts[:12] + pts[:12])
+    assert all(h_distance(center, p) <= radius + 1e-9 for p in pts[:12])
 
 
 def random_net_near(rng, size, far, spread):
