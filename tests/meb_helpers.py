@@ -90,7 +90,15 @@ def _affine_weights(pts: Sequence[tuple[float, ...]], target) -> list[float]:
 
 
 def support_barycentric(result: ChebResult) -> list[float]:
-    """Barycentric coordinates of the center with respect to the support."""
-    arr, _ = _unit_scaled(np.array([result.center.coords] + [p.coords for p in result.support]))
+    """Barycentric coordinates of the center with respect to the support.
+
+    The points are taken relative to the first support point before the
+    power-of-two scaling, so that the chords, not the coordinates, are of
+    unit size: a support 1e-218 wide near (0, 1) would otherwise have Gram
+    entries that underflow to 0. Without under- or overflow the weights are
+    the same bits either way, as scaling by a power of two is exact.
+    """
+    pts = np.array([result.center.coords] + [p.coords for p in result.support])
+    arr, _ = _unit_scaled(pts - pts[1])
     pts = list(map(tuple, arr.tolist()))
     return _affine_weights(pts[1:], pts[0])
