@@ -1,9 +1,12 @@
 """Exact minimum enclosing balls (Chebyshev centers) of finite Euclidean nets.
 
-The main solver reads the net's sorted coordinate array (`Net.array`). A
-net of at most `_MTF_MAX_POINTS` points, which covers every net the
-verifiers solve, goes to the incremental randomized move-to-front
-algorithm with explicit support-set maintenance (Welzl 1991). A larger net
+The main solver reads the net's sorted rows. A net of at most
+`_MTF_MAX_POINTS` points, which covers every net the verifiers solve, goes
+to the incremental randomized move-to-front algorithm with explicit
+support-set maintenance (Welzl 1991), on the row tuples that such a net
+keeps (`Net.rows`), with no numpy call; three points, most of the nets the
+verifiers re-measure, take an unrolled form of that recursion (`_mtf3`)
+that makes the same calls in the same order. A larger net
 starts from a one-point ball that grows by farthest-point pivots
 (Gaertner, "Fast and robust smallest enclosing balls", ESA 1999): one
 numpy pass over the net (`_sq_dists`) finds the point farthest from the
@@ -21,9 +24,12 @@ holds the generator form they replaced as the reference. The solve is one
 pass: a point that would make a support affinely dependent is left off it
 (`_mtf`). Nets of two points and nets on the line skip the recursion: their
 ball is fixed by the lexicographic extremes in closed form. Before the
-solve the coordinates are scaled by an exact power of two, so squared
-lengths neither overflow nor underflow and the result does not depend on
-the scale of the net. The insertion order is one cached shuffle per net
+solve the coordinates are scaled by an exact power of two taken from the
+net's chord width (`_scale_exponent`), so squared chords neither overflow
+nor underflow, however narrow the net is next to its distance from the
+origin, and the result does not depend on the scale of the net; a
+non-finite ball raises rather than being returned (`_certified`). The
+insertion order is one cached shuffle per net
 size, and the pivots start from the net's first row, so the result is a
 function of the net alone.
 `cheb_ball` returns the center's coordinates, the radius and the support's
@@ -35,9 +41,11 @@ nets at once and sharing no code with the move-to-front solver. It serves
 three callers in two geometries: `cheb_oracle` runs it on a batch of one to
 cross-check that solver, `cheb_batch` on the verifiers' trials, many nets
 of 3 to 6 points, and `hyperbolic.minimax_center_search` on one net of the
-hyperboloid, as the exact oracle of `h_cheb3`. The verifiers only screen
-their trials with `cheb_batch`: the figures they report come from the
-scalar solver (`cheb_ball`).
+hyperboloid, as the exact oracle of `h_cheb3`. Subsets of two and three
+points, the 1x1 and 2x2 Gram systems, are tested for rank and solved in
+closed form (`_gram_solve`); larger ones go to `np.linalg`. The verifiers
+only screen their trials with `cheb_batch`: the figures they report come
+from the scalar solver (`cheb_ball`).
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,18 +61,24 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, OracleBudgetError
-from .geometry import Net, Point
+from .geometry import ROW_TUPLES_MAX, Net, Point
 from .tolerances import TAU_BALL, TAU_GEOM, TAU_RANK, geom_tol
 
 _ORACLE_MAX_POINTS = 12
 _ORACLE_MAX_DIM = 6
 # `_welzl` solves a net of at most this many points by move-to-front over
-# the whole insertion order, and a larger net by farthest-point pivots.
-_MTF_MAX_POINTS = 16
+# the whole insertion order, on the row tuples that such a net keeps, and a
+# larger net by farthest-point pivots.
+_MTF_MAX_POINTS = ROW_TUPLES_MAX
+# The solve scales a net by the power of two of its chord width, but never
+# up by more than 2**_MAX_UPSCALE_BITS relative to its largest coordinate.
+_MAX_UPSCALE_BITS = 1000
 # Most support subsets, C(n, k) summed over k = 2 .. min(n, d + 1), that
-# `cheb_batch` enumerates per net: the batch beat the scalar solver at 84 and
-# 210 (8x2, 8x4) and lost at 286 and 1,573 (12x2, 12x4); suite nets need 50.
-_BATCH_MAX_SUBSETS = 256
+# `cheb_batch` enumerates per net. Per pair of uniform nets, the batch screen
+# beat the scalar re-measure 6.6x at 4 subsets (3x2), 2.5x at 50 (6x3), 1.4x
+# at 84 (8x2) and 1.1-1.3x at 165 (10x2); it lost at 210 (8x4, 0.9-1.0x),
+# 220 (11x2, 0.9x) and 286 (12x2, 0.7x). Suite nets need at most 50.
+_BATCH_MAX_SUBSETS = 165
 
 
 @dataclass(frozen=True)
@@ -156,7 +171,7 @@ def _circumball(
     if k == 2:
         a, b = pts
         # Halving first is exact for normal floats and keeps x + y from overflowing.
-        c = tuple(x / 2.0 + y / 2.0 for x, y in zip(a, b))
+        c = tuple([x / 2.0 + y / 2.0 for x, y in zip(a, b)])
         return c, max(math.dist(c, a), math.dist(c, b)), (0.5, 0.5)
     if k == 3:
         p0, p1, p2 = pts
@@ -300,16 +315,48 @@ def _mtf(pts, order, boundary, dim):
     return center, radius, support, weights
 
 
-def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """`arr` times 2**-e, e the binary exponent of its largest absolute entry.
+def _scale_exponent(width: float, top: float) -> int:
+    """Binary exponent e by which a solve scales a net: its coordinates times 2**-e.
 
-    Returns (scaled array, e); the array is `arr` itself when e is 0. The
-    scaled coordinates are at most 1 in absolute value, so Gram entries
-    neither overflow nor underflow; scaling by a power of two is exact, so
-    results scale back with math.ldexp.
+    `width` is the net's chord width max |p - p_0| over its rows p, and `top`
+    its largest absolute coordinate. e makes the scaled width lie in [1, 2),
+    so the scaled chords are below 4 in absolute value and the Gram entries
+    neither overflow nor underflow, however far the net lies from the
+    origin (a net in [-1, 1]^d often has e = 0 and is not scaled at all);
+    e is at least top's exponent minus `_MAX_UPSCALE_BITS`, so that no
+    scaled coordinate overflows. A width that overflows (chords beyond the
+    float range) takes top's exponent.
     """
-    exp = math.frexp(float(np.abs(arr).max()))[1]
+    if width == math.inf:
+        return math.frexp(top)[1]
+    return max(math.frexp(width)[1] - 1, math.frexp(top)[1] - _MAX_UPSCALE_BITS)
+
+
+def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """`arr` times 2**-e, e the `_scale_exponent` of its rows.
+
+    Returns (scaled array, e); the array is `arr` itself when e is 0.
+    Scaling by a power of two is exact, so results scale back with
+    math.ldexp.
+    """
+    with np.errstate(over="ignore"):
+        exp = _scale_exponent(float(np.abs(arr - arr[0]).max()), float(np.abs(arr).max()))
     return (np.ldexp(arr, -exp) if exp else arr), exp
+
+
+def _scaled_rows(net: Net) -> tuple[list[tuple[float, ...]], int]:
+    """`_unit_scaled` on a small net's row tuples: the same exponent and bits.
+
+    The exponent is found in Python; only a net that must be scaled goes
+    through numpy.
+    """
+    rows = net.coord_list()
+    flat = list(itertools.chain.from_iterable(rows))
+    width = max(map(abs, map(operator.sub, flat, itertools.cycle(rows[0]))))
+    exp = _scale_exponent(width, max(map(abs, flat)))
+    if not exp:
+        return rows, exp
+    return list(map(tuple, np.ldexp(net.array, -exp).tolist())), exp
 
 
 def _certified(center, radius, support_idx, weights, exp: int = 0):
@@ -317,8 +364,11 @@ def _certified(center, radius, support_idx, weights, exp: int = 0):
 
     Returns (center, radius, support indices in increasing order).
     `weights` are the center's barycentric coordinates over the support; a
-    center outside the support's hull raises DegenerateInputError to the caller.
+    non-finite center, radius or weight, or a center outside the support's
+    hull, raises DegenerateInputError to the caller.
     """
+    if not all(map(math.isfinite, (*center, radius, *weights))):
+        raise DegenerateInputError("the solve gave a non-finite center, radius or weight")
     if min(weights) < -TAU_GEOM:
         raise DegenerateInputError("support does not certify the center in its hull")
     if exp:
@@ -329,8 +379,7 @@ def _certified(center, radius, support_idx, weights, exp: int = 0):
 
 def _result(net: Net, center, radius, support) -> ChebResult:
     """`ChebResult` of a ball given by center coordinates and support row indices."""
-    arr = net.array  # a row at a time: fancy indexing costs more on a few rows
-    return ChebResult(Point(center), radius, tuple(Point(tuple(arr[i].tolist())) for i in support))
+    return ChebResult(Point(center), radius, tuple(Point(net.row(i)) for i in support))
 
 
 @functools.lru_cache(maxsize=64)
@@ -356,12 +405,11 @@ def cheb_ball(net: Net) -> tuple[tuple[float, ...], float, tuple[int, ...]]:
     net goes to `_welzl`: move-to-front on at most `_MTF_MAX_POINTS`
     points, farthest-point pivots on more.
     """
-    arr = net.array
-    n = len(arr)
+    n, dim = net.array.shape
     if n == 1:
-        return tuple(arr[0].tolist()), 0.0, (0,)
-    if n == 2 or arr.shape[1] == 1:
-        center, radius, _ = _circumball([tuple(arr[0].tolist()), tuple(arr[-1].tolist())])
+        return net.row(0), 0.0, (0,)
+    if n == 2 or dim == 1:
+        center, radius, _ = _circumball([net.row(0), net.row(n - 1)])
         return center, radius, (0, n - 1)
     return _welzl(net)
 
@@ -370,22 +418,59 @@ def _welzl(net: Net):
     """Move-to-front solve of a net of at most `_MTF_MAX_POINTS` points, pivots beyond.
 
     Returns the ball as `cheb_ball` does. A small net's `_mtf` runs over its
-    whole insertion order, a fixed shuffle of the net's canonical order. A
+    whole insertion order, a fixed shuffle of the net's canonical order, on
+    the net's row tuples (`Net.rows`), with no numpy call; three points in
+    two or more dimensions take the unrolled form of that run (`_mtf3`). A
     larger net is solved by farthest-point pivots from its first row
     (`_pivots`).
 
     Either way the solve runs on the coordinates scaled by an exact power of
-    two (`_unit_scaled`), so that it depends on neither the scale of the net
-    nor the floating-point range; the center and radius are scaled back
+    two (`_scale_exponent`), so that it depends on neither the scale of the
+    net nor the floating-point range; the center and radius are scaled back
     exactly.
     """
-    arr, exp = _unit_scaled(net.array)
-    n, dim = arr.shape
-    if n <= _MTF_MAX_POINTS:
-        ball = _mtf(list(map(tuple, arr.tolist())), list(_insertion_order(n)), [], dim)
+    n, dim = net.array.shape
+    if n > _MTF_MAX_POINTS:
+        arr, exp = _unit_scaled(net.array)
+        return _certified(*_pivots(arr), exp)
+    pts, exp = _scaled_rows(net)
+    if n == 3 and dim > 1:
+        ball = _mtf3(pts, dim)
     else:
-        ball = _pivots(arr)
+        ball = _mtf(pts, list(_insertion_order(n)), [], dim)
     return _certified(*ball, exp)
+
+
+def _mtf3(pts, dim):
+    """`_mtf(pts, list(_insertion_order(3)), [], dim)` on three points, unrolled.
+
+    With the insertion order (a, b, c) the recursion tries the ball on
+    [b, a], then, when c lies outside it, the balls on [c, b], [c, a] and
+    [c, a, b] in turn, each only when the point left off lies outside the
+    last one; a near-singular [c, a, b] is skipped. This makes the same
+    `_circumball` calls and in-ball tests in the same order, so the result
+    is the same bits. When b coincides with a or c after scaling, the
+    recursion takes other branches, and the net goes to `_mtf` itself.
+    """
+    a, b, c = _insertion_order(3)
+    pa, pb, pc = pts[a], pts[b], pts[c]
+    if not (math.dist(pb, pa) > 0.0 and math.dist(pb, pc) > 0.0):
+        return _mtf(pts, [a, b, c], [], dim)
+    center, radius, weights = _circumball([pb, pa])
+    if not math.dist(pc, center) > radius * (1.0 + TAU_BALL):
+        return center, radius, (b, a), weights
+    center, radius, weights = _circumball([pc, pb])
+    support = (c, b)
+    if math.dist(pa, center) > radius * (1.0 + TAU_BALL):
+        center, radius, weights = _circumball([pc, pa])
+        support = (c, a)
+        if math.dist(pb, center) > radius * (1.0 + TAU_BALL):
+            try:
+                center, radius, weights = _circumball([pc, pa, pb])
+                support = (c, a, b)
+            except DegenerateInputError:
+                pass
+    return center, radius, support, weights
 
 
 def _pivots(arr: np.ndarray):
@@ -458,6 +543,58 @@ def _sq_dists(pts: np.ndarray, center: np.ndarray, sign: np.ndarray | None = Non
     return out
 
 
+def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank test and solution of a batch of chord Gram systems `gram lam = rhs`.
+
+    `gram` is (K, S, m, m), symmetric, and `rhs` (K, S, m). Returns (ok,
+    lam): ok marks the systems whose eigenvalue ratio (smallest over
+    largest) exceeds TAU_RANK, and lam (K, S, m) holds their solutions; the
+    other rows of lam are not used. For m = 1 the eigenvalue is the entry
+    itself. For m = 2 the larger eigenvalue is t + hypot(h, g_10), t the
+    half trace and h half the diagonal's difference, the ratio is the
+    determinant over its square, taken on the entries divided by it so that
+    nothing overflows, and the solve is the elimination of `_circumball`:
+    the pivot is the first row of largest `abs` in column 0. Larger systems
+    go to `np.linalg`, with an identity in place of each failed matrix.
+    """
+    m = gram.shape[-1]
+    if m > 2:
+        ev = np.linalg.eigvalsh(gram)  # ascending; the chord Gram matrix is symmetric
+        ok = ev[..., 0] > TAU_RANK * ev[..., -1]
+        safe = np.where(ok[..., None, None], gram, np.eye(m))
+        return ok, np.linalg.solve(safe, rhs[..., None])[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m == 1:
+            g = gram[..., 0]
+            return g[..., 0] > TAU_RANK * g[..., 0], rhs / g
+        a00, a01, a10, a11 = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 0], gram[..., 1, 1]
+        top = (0.5 * a00 + 0.5 * a11) + np.hypot(0.5 * (a00 - a11), a10)
+        ok = (top > 0.0) & ((a00 / top) * (a11 / top) - np.square(a10 / top) > TAU_RANK)
+        r0, r1 = rhs[..., 0], rhs[..., 1]
+        swap = np.abs(a10) > np.abs(a00)
+        a00, a10 = np.where(swap, a10, a00), np.where(swap, a00, a10)
+        a01, a11 = np.where(swap, a11, a01), np.where(swap, a01, a11)
+        r0, r1 = np.where(swap, r1, r0), np.where(swap, r0, r1)
+        f = a10 * (1.0 / a00)
+        l1 = (r1 - f * r0) / (a11 - f * a01)
+        l0 = (r0 - a01 * l1) / a00
+    return ok, np.stack([l0, l1], axis=-1)
+
+
+def _take(x: np.ndarray, ok: np.ndarray, every_ok: bool) -> np.ndarray:
+    """`x[ok]` for a mask over the first two axes of x; a reshape when every entry passes."""
+    return x.reshape(-1, *x.shape[2:]) if every_ok else x[ok]
+
+
+def _spread(x: np.ndarray, ok: np.ndarray, every_ok: bool, fill: float) -> np.ndarray:
+    """Inverse of `_take`: the rows of x at the True entries of ok, `fill` elsewhere."""
+    if every_ok:
+        return x.reshape(ok.shape + x.shape[1:])
+    out = np.full(ok.shape + x.shape[1:], fill)
+    out[ok] = x
+    return out
+
+
 # The geometries of `_enumerated_balls` (the other is `hyperbolic._HYPERBOLOID`):
 # the sign vector of the form on chords (None: the dot product), the lift into
 # the model, the distance of a squared chord s, the coverage slack of radius r.
@@ -480,8 +617,11 @@ def _enumerated_balls(pts: np.ndarray, geometry=_EUCLIDEAN):
     lexicographic order: with the coverage slack of the geometry, a smaller
     sphere that just misses a point (near-duplicate points) can qualify
     too, and this picks the truly covering one. The subsets of one size are
-    solved for every open net as a single batch of Gram systems; affinely
-    dependent subsets (eigenvalue ratio at most TAU_RANK) are skipped.
+    solved for every open net as a single batch of Gram systems
+    (`_gram_solve`: closed forms for two and three points, `np.linalg`
+    beyond); affinely dependent subsets (eigenvalue ratio at most TAU_RANK)
+    are skipped, and when none is, the candidates are reshaped rather than
+    gathered by a mask (`_take`, `_spread`).
 
     A subset's center solves 2 G lam = diag(G), G the Gram matrix of its
     chords in the geometry's form. On the hyperboloid the chords of four
@@ -509,22 +649,20 @@ def _enumerated_balls(pts: np.ndarray, geometry=_EUCLIDEAN):
         dirs = sub[:, :, 1:] - base[:, :, None, :]
         gram = 2.0 * (dirs if sign is None else dirs * sign) @ dirs.swapaxes(-1, -2)
         rhs = 0.5 * gram.diagonal(axis1=-2, axis2=-1)
-        ev = np.linalg.eigvalsh(gram)  # ascending; the chord Gram matrix is symmetric PSD
-        ok = ev[..., 0] > TAU_RANK * ev[..., -1]
+        ok, lam = _gram_solve(gram, rhs)
         if not ok.any():
             continue
-        owner = todo[np.nonzero(ok)[0]]
-        base, dirs, sub = base[ok], dirs[ok], sub[ok]
-        lam = np.linalg.solve(gram[ok], rhs[ok][..., None])[..., 0]
+        every_ok = bool(ok.all())
+        owner = _take(np.broadcast_to(todo[:, None], ok.shape), ok, every_ok)
+        base, dirs, sub, lam = (_take(x, ok, every_ok) for x in (base, dirs, sub, lam))
         w = np.concatenate([1.0 - _sum_last(lam)[:, None], lam], axis=1)
         c = base + _sum_last((lam[:, :, None] * dirs).swapaxes(1, 2))
-        every = np.full(ok.shape + (dim,), np.nan)  # the lifted centers, one row per subset
-        every[ok] = lifted = lift(c)
+        lifted = lift(c)
+        every = _spread(lifted, ok, every_ok, np.nan)  # the lifted centers, one row per subset
         r = dist(_sq_dists(sub, lifted, sign).max(axis=1))
-        reach = dist(_sq_dists(nets[:, None], every, sign).max(axis=-1))[ok]
+        reach = _take(dist(_sq_dists(nets[:, None], every, sign).max(axis=-1)), ok, every_ok)
         covers = (w.min(axis=1) >= -TAU_GEOM) & (reach <= r + slack(scale[owner], r))
-        cand = np.full(ok.shape, np.inf)
-        cand[ok] = np.where(covers, reach, np.inf)
+        cand = _spread(np.where(covers, reach, np.inf), ok, every_ok, np.inf)
         first = cand.argmin(axis=1)  # first minimum in subset order
         won = np.flatnonzero(np.isfinite(cand[np.arange(len(todo)), first]))
         at = (np.cumsum(ok) - 1).reshape(ok.shape)[won, first[won]]  # index among the ok subsets

@@ -2,22 +2,30 @@
 
 Points are plain value records. A net is an unordered finite set of
 distinct points, held once as a read-only `(n, d)` float array whose rows
-are sorted lexicographically, so net equality is canonical; its `Point`s
-are built only when a caller asks for them (`Net.points`). Distinctness is
-exact coordinate equality on purpose: membership of a net in the "exactly
-N points" class must never depend on a tolerance.
+are sorted lexicographically, so net equality is canonical; a net of at
+most `ROW_TUPLES_MAX` points also keeps its rows as coordinate tuples, which
+the scalar solvers read without numpy. Its `Point`s are built only when a
+caller asks for them (`Net.points`). Distinctness is exact coordinate
+equality on purpose: membership of a net in the "exactly N points" class
+must never depend on a tolerance.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, DomainError
+
+# Nets of at most this many points sort their rows with `sorted` and keep them
+# as tuples (`Net.rows`), on which `chebyshev` solves them by move-to-front;
+# on larger nets the tuples would cost more memory than they save time.
+ROW_TUPLES_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -48,9 +56,15 @@ class Net:
     order, the order of `sorted` on the coordinate tuples. Two nets are
     equal exactly when they contain the same point set; -0.0 and 0.0 count
     as equal coordinates, as they do in tuple comparison.
+
+    A net of at most `ROW_TUPLES_MAX` points sorts its rows with `sorted`,
+    checks them with `math.isfinite` and keeps them in `rows`, as tuples in
+    the order of `array`; larger nets sort with `np.lexsort`, which gives
+    the same order (both sorts are stable), and their `rows` is None.
     """
 
     array: np.ndarray
+    rows: tuple[tuple[float, ...], ...] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         rows = self.array
@@ -68,14 +82,22 @@ class Net:
             raise DimensionError(f"a net needs rows of coordinates, got shape {arr.shape}")
         if not arr.shape[1]:
             raise DimensionError("a point needs at least one coordinate")
-        if not np.isfinite(arr).all():
-            raise DomainError("non-finite coordinate in net")
-        # lexsort's last key is its primary one; the fancy index copies, so
-        # the net never shares memory with its input.
-        arr = arr[np.lexsort(arr.T[::-1])]
-        # Lists compare as tuples do (-0.0 equals 0.0); on the few rows of
+        if len(arr) <= ROW_TUPLES_MAX:
+            rows = arr.tolist()
+            if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+                raise DomainError("non-finite coordinate in net")
+            rows = sorted(map(tuple, rows))
+            # np.array copies, so the net never shares memory with its input.
+            arr = np.array(rows)
+            object.__setattr__(self, "rows", tuple(rows))
+        else:
+            if not np.isfinite(arr).all():
+                raise DomainError("non-finite coordinate in net")
+            # lexsort's last key is its primary one; the fancy index copies.
+            arr = arr[np.lexsort(arr.T[::-1])]
+            rows = arr.tolist()
+        # Rows compare as tuples do (-0.0 equals 0.0); on the few rows of
         # most nets this costs less than numpy's three calls.
-        rows = arr.tolist()
         for a, b in zip(rows, rows[1:]):
             if a == b:
                 raise DegenerateInputError(f"duplicate point {tuple(a)} in net")
@@ -89,7 +111,7 @@ class Net:
     @functools.cached_property
     def points(self) -> tuple[Point, ...]:
         """The rows as `Point`s, built on first use."""
-        return tuple(Point(tuple(row)) for row in self.array.tolist())
+        return tuple(Point(row) for row in self.coord_list())
 
     @property
     def dim(self) -> int:
@@ -112,7 +134,15 @@ class Net:
 
     def coord_list(self) -> list[tuple[float, ...]]:
         """The rows as coordinate tuples: `math.dist` converts any other sequence to a tuple."""
+        if self.rows is not None:
+            return list(self.rows)
         return list(map(tuple, self.array.tolist()))
+
+    def row(self, i: int) -> tuple[float, ...]:
+        """Row i as a coordinate tuple, without converting the rest of the array."""
+        if self.rows is not None:
+            return self.rows[i]
+        return tuple(self.array[i].tolist())
 
 
 def distance(a: Point, b: Point) -> float:

@@ -13,14 +13,15 @@ from .geometry import Net
 def hausdorff_distance(a, b, dist) -> float:
     """Hausdorff distance of two finite sets under the point metric `dist`.
 
-    Worst nearest-neighbour distance over both directions; a plain
-    O(|a|*|b|) double loop, since the sets are tiny here and clarity wins.
+    Worst nearest-neighbour distance over both directions. Each pair
+    distance `dist(x, y)`, x from a and y from b, is computed once: the rows
+    of that |a| x |b| matrix give the forward nearest-neighbour distances and
+    its columns the backward ones.
     """
     if not a or not b:
         raise DomainError("Hausdorff distance needs non-empty sets")
-    forward = max(min(dist(x, y) for y in b) for x in a)
-    backward = max(min(dist(x, y) for x in a) for y in b)
-    return max(forward, backward)
+    dists = [[dist(x, y) for y in b] for x in a]
+    return max(max(map(min, dists)), max(map(min, zip(*dists))))
 
 
 def alpha(m: Net, t: Net) -> float:

@@ -6,6 +6,8 @@ floating-point operations in the same order, so the two must agree bitwise.
 Their sums are `_left_sum`, the left-to-right sum from integer 0 that the
 built-in `sum` of floats computes up to Python 3.11 (it is compensated from
 3.12 on), so the reference means the same bits on every interpreter.
+`linalg_gram_solve` is the `np.linalg` form of the batch screen's Gram
+solve, which the screen replaced with closed forms on 1x1 and 2x2 systems.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import functools
 import math
 import operator
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 
+from chebnets import chebyshev
 from chebnets.chebyshev import ChebResult, _unit_scaled
 from chebnets.errors import DegenerateInputError
 from chebnets.tolerances import TAU_RANK
@@ -102,3 +106,30 @@ def support_barycentric(result: ChebResult) -> list[float]:
     arr, _ = _unit_scaled(pts - pts[1])
     pts = list(map(tuple, arr.tolist()))
     return _affine_weights(pts[1:], pts[0])
+
+
+def linalg_gram_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for `chebyshev._gram_solve`: `np.linalg` eigenvalues and solve at every size."""
+    ev = np.linalg.eigvalsh(gram)
+    ok = ev[..., 0] > TAU_RANK * ev[..., -1]
+    safe = np.where(ok[..., None, None], gram, np.eye(gram.shape[-1]))
+    return ok, np.linalg.solve(safe, rhs[..., None])[..., 0]
+
+
+def screen_gap_to_linalg(pts: np.ndarray, geometry=chebyshev._EUCLIDEAN) -> float:
+    """Largest gap between the screen's centers and those of its `np.linalg` form.
+
+    Runs `_enumerated_balls` on the (K, n, d) batch `pts` with its own Gram
+    solve and with `linalg_gram_solve`, checks that both pick the same
+    support for every net, and returns the largest center coordinate
+    difference over the net's largest absolute coordinate.
+    """
+    centers, radii, support, _ = chebyshev._enumerated_balls(pts, geometry)
+    with mock.patch.object(chebyshev, "_gram_solve", linalg_gram_solve):
+        ref_centers, ref_radii, ref_support, _ = chebyshev._enumerated_balls(pts, geometry)
+    assert (support == ref_support).all() and (np.isfinite(radii) == np.isfinite(ref_radii)).all()
+    found = np.isfinite(radii)
+    if not found.any():
+        return 0.0
+    scale = np.abs(pts).max(axis=(1, 2))[found, None]
+    return float((np.abs(centers[found] - ref_centers[found]) / scale).max())

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from chebnets.chebyshev import (
 )
 from chebnets.errors import DegenerateInputError, OracleBudgetError
 from chebnets.geometry import Net, Point, distance
-from chebnets.tolerances import TAU_GEOM, geom_tol
-from meb_helpers import _affine_weights, support_barycentric
+from chebnets.tolerances import TAU_BALL, TAU_GEOM, geom_tol
+from meb_helpers import _affine_weights, screen_gap_to_linalg, support_barycentric
 from meb_helpers import _circumball as reference_circumball
 
 
@@ -393,6 +394,15 @@ def test_solve_on_generator_reference_kernel_is_bitwise_equal(monkeypatch):
 def test_support_outside_hull_is_rejected():
     with pytest.raises(DegenerateInputError):
         chebyshev._certified((2.0, 0.0), 2.0, (0, 1), (-1.0, 2.0))
+    # A NaN weight passes `min(weights) < -TAU_GEOM`; non-finite balls raise too.
+    for center, radius, weights in [
+        ((math.nan, 0.0), math.nan, (math.nan, math.nan)),
+        ((0.5, 0.0), 0.5, (0.5, math.nan)),
+        ((0.5, 0.0), math.inf, (0.5, 0.5)),
+        ((0.5, -math.inf), 0.5, (0.5, 0.5)),
+    ]:
+        with pytest.raises(DegenerateInputError):
+            chebyshev._certified(center, radius, (0, 1), weights)
 
 
 def test_oracle_support_on_regular_polygons_is_hull_certified():
@@ -449,6 +459,30 @@ def test_random_nets_at_extreme_scales(scale):
         assert min(support_barycentric(result)) >= -1e-9
         base = cheb(net)
         assert result.radius / scale == pytest.approx(base.radius, rel=1e-9)
+
+
+@pytest.mark.parametrize("width", [1e-100, 1e-160, 1e-200, 1e-250, 1e-300])
+def test_narrow_nets_far_from_the_origin_are_covered_exactly(width):
+    # The solve scales by the chord width, not by the coordinates. Scaled by
+    # the coordinates, these nets' Gram entries underflow: on these 96 nets
+    # per width the solve returned a NaN ball on 12 nets 1e-160 wide and
+    # raised on 5, and failed this check on 42 to 62 of each width from
+    # 1e-160 to 1e-300.
+    rng = np.random.default_rng(int(-math.log10(width)))
+    for offset in (1.0, 1e2, 1e4, 1e6):
+        for i in range(24):
+            size = int(rng.integers(17, 41)) if i % 4 == 0 else int(rng.integers(3, 7))
+            dim = int(rng.integers(2, 7))
+            pts = rng.uniform(-1, 1, (size, dim)) * width
+            pts[:, 1] += offset
+            net = Net.of(pts.tolist())
+            center, radius, support = cheb_ball(net)
+            assert 0.0 < radius < 2.0 * width and len(support) <= dim + 1
+            # Points outside the ball by at most the in-ball slack, in exact arithmetic.
+            c = [Fraction(x) for x in center]
+            bound = (Fraction(radius) * (1 + 2 * Fraction(TAU_BALL))) ** 2
+            for p in net.coord_list():
+                assert sum((Fraction(x) - y) ** 2 for x, y in zip(p, c)) <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -549,6 +583,17 @@ def test_batch_kernel_on_planted_degenerate_nets():
         pts = rng.uniform(-1, 1, (int(rng.integers(2, 5)), dim))
         twin = pts[0] + 1e-7 * rng.normal(size=dim) / math.sqrt(dim)
         assert_kernel_matches_welzl([tuple(x) for x in pts.tolist()] + [tuple(twin.tolist())])
+    # The screen solves 1x1 and 2x2 Gram systems in closed form. Against the
+    # np.linalg form (`linalg_gram_solve`) it picks the same supports, and
+    # its centers were within 4.5e-16 of the coordinate scale on 22,500
+    # uniform and near-collinear nets of 3 to 6 points in the plane and in
+    # 3-d (and within 1.8e-16 on far hyperbolic triples, `test_hyperbolic`).
+    p, d = rng.uniform(-1, 1, (400, 1, 2)), rng.uniform(-1, 1, (400, 1, 2))
+    offset = 10.0 ** rng.uniform(-9, -3, (400, 1, 1)) * rng.normal(size=(400, 3, 2))
+    near_collinear = p + rng.uniform(-2, 2, (400, 3, 1)) * d + offset
+    assert screen_gap_to_linalg(near_collinear) <= 1e-15
+    for n, dim in ((3, 2), (4, 2), (5, 3), (6, 3)):
+        assert screen_gap_to_linalg(rng.uniform(-1, 1, (200, n, dim))) <= 1e-15
 
 
 def test_batch_kernel_ignores_repeated_points():
@@ -611,6 +656,55 @@ def test_pivots_agree_with_full_move_to_front():
         assert result.radius == pytest.approx(full_order_mtf(net)[1], rel=1e-12)
 
 
+# Three-point nets that end the unrolled move-to-front (`_mtf3`) at each of
+# its exits, named by the support it returns. The insertion order of three
+# rows is (1, 0, 2), so a, b and c are the sorted rows 1, 0 and 2. The
+# second net of each of the first three exits has a right angle at the point
+# left off, which lies on the sphere and outside it by less than the in-ball
+# slack. The near-singular net is a thin triangle whose in-ball tests round
+# outward; in the last net b and a coincide once the coordinates are scaled
+# by 2**-997.
+THREE_POINT_EXITS = [
+    ("(b, a)", [(0.0, 0.0), (0.5, 1.0), (0.6, 0.5)]),
+    ("(b, a)", [
+        (0.6076142587437322, -0.8032870726105554),
+        (0.7531159093021449, -0.24959182936322316),
+        (0.917045999598743, -0.36544431944656863),
+    ]),
+    ("(c, b)", [(0.0, 0.0), (0.5, 0.1), (1.0, 0.0)]),
+    ("(c, b)", [
+        (0.13479239336575266, 0.1581263019720234),
+        (0.8728841236840061, 0.11231955106779412),
+        (0.9220125429520442, 0.903933871436429),
+    ]),
+    ("(c, a)", [(-0.2, 0.5), (0.0, 0.0), (0.1, 1.0)]),
+    ("(c, a)", [
+        (-0.5170770264533464, 0.9262842437911143),
+        (-0.07401043870264734, 0.4807925987468631),
+        (0.0963639523667178, 1.5363859242508162),
+    ]),
+    ("(c, a, b)", [(0.0, 0.0), (0.5, 1.0), (1.0, 0.1)]),
+    ("(c, a), near-singular (c, a, b) skipped", [
+        (9.83659807912803, -0.9865595837329596),
+        (9.836599065737023, -0.986559747142557),
+        (10.0, 0.0),
+    ]),
+    ("zero distance after scaling", [(-1e300, -1e-300), (-1e300, 1e-300), (1e300, 0.0)]),
+]
+
+
+def three_point_exit(pts) -> str:
+    """The exit of `_mtf3` on three scaled rows, in the names of THREE_POINT_EXITS."""
+    a, b, c = chebyshev._insertion_order(3)
+    if math.dist(pts[b], pts[a]) == 0.0 or math.dist(pts[b], pts[c]) == 0.0:
+        return "zero distance after scaling"
+    center, radius, support, _ = chebyshev._mtf3(pts, len(pts[0]))
+    name = "(" + ", ".join({a: "a", b: "b", c: "c"}[i] for i in support) + ")"
+    if support == (c, a) and math.dist(pts[b], center) > radius * (1.0 + TAU_BALL):
+        name += ", near-singular (c, a, b) skipped"  # b was outside, and its push raised
+    return name
+
+
 def test_nets_within_the_head_equal_full_move_to_front_bitwise():
     """Nets of at most `_MTF_MAX_POINTS` points take no pivot: `_welzl` is full move-to-front."""
     rng = np.random.default_rng(43)
@@ -620,6 +714,19 @@ def test_nets_within_the_head_equal_full_move_to_front_bitwise():
         assert _welzl(net) == full_order_mtf(net)
     for coords in (RETRY_NET, NEAR_DUPLICATE_NET):
         assert _welzl(Net.of(coords)) == full_order_mtf(Net.of(coords))
+    # Three points take the unrolled run, which must equal `_mtf` to the
+    # last bit, weights and support order included, at every exit.
+    assert chebyshev._insertion_order(3) == (1, 0, 2)
+    for name, coords in THREE_POINT_EXITS:
+        net = Net.of(coords)
+        pts, _ = chebyshev._scaled_rows(net)
+        assert three_point_exit(pts) == name
+        assert chebyshev._mtf3(pts, 2) == chebyshev._mtf(pts, [1, 0, 2], [], 2), name
+        assert _welzl(net) == full_order_mtf(net), name
+    for _ in range(300):
+        dim = int(rng.integers(2, 7))
+        pts = [tuple(p) for p in rng.uniform(-1, 1, (3, dim)).tolist()]
+        assert chebyshev._mtf3(pts, dim) == chebyshev._mtf(pts, [1, 0, 2], [], dim)
 
 
 def test_pivot_path_is_reached(monkeypatch):

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from chebnets.chebyshev import _circumball
 from chebnets.errors import DegenerateInputError, DimensionError, DomainError
-from chebnets.geometry import Net, Point, diameter, distance, net_from_json, net_to_json
+from chebnets.geometry import (
+    ROW_TUPLES_MAX,
+    Net,
+    Point,
+    diameter,
+    distance,
+    net_from_json,
+    net_to_json,
+)
 
 coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -103,13 +111,20 @@ def test_net_invariants():
 tie_coord = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0]) | coord
 
 
+# Up to 24 rows: nets of at most ROW_TUPLES_MAX rows sort with `sorted`, larger
+# ones with np.lexsort, and both must give sorted's order.
 @given(st.integers(1, 4).flatmap(
-    lambda dim: st.lists(st.tuples(*[tie_coord] * dim), min_size=1, max_size=12, unique=True)
+    lambda dim: st.lists(st.tuples(*[tie_coord] * dim), min_size=1, max_size=24, unique=True)
 ))
 def test_net_array_and_tuple_input_agree(rows):
     # unique=True compares tuples, so (0.0,) and (-0.0,) never both appear.
     net = Net.of(rows)
     assert repr(net.coord_list()) == repr(sorted(rows))  # sorted's order, signs of zero kept
+    assert repr(net.array.tolist()) == repr(list(map(list, sorted(rows))))
+    if len(rows) <= ROW_TUPLES_MAX:
+        assert repr(net.rows) == repr(tuple(sorted(rows)))
+    else:
+        assert net.rows is None
     assert Net.of(np.array(rows)) == net
     assert Net(tuple(map(Point, rows))) == net
     flipped = Net.of([tuple(0.0 if c == 0.0 else c for c in row) for row in reversed(rows)])
@@ -117,7 +132,7 @@ def test_net_array_and_tuple_input_agree(rows):
     assert net.points == tuple(Point(row) for row in sorted(rows))
 
 
-@given(st.lists(st.tuples(coord, coord), min_size=1, max_size=8, unique=True), st.data())
+@given(st.lists(st.tuples(coord, coord), min_size=1, max_size=20, unique=True), st.data())
 def test_net_duplicates_raise(rows, data):
     twin = data.draw(st.sampled_from(rows))
     with pytest.raises(DegenerateInputError):
@@ -129,6 +144,9 @@ def test_net_duplicates_raise(rows, data):
 def test_net_rejects_signed_zero_twins():
     with pytest.raises(DegenerateInputError):
         Net.of([(0.0, 1.0), (2.0, 3.0), (-0.0, 1.0)])
+    many = [(float(i), 0.5) for i in range(20)]
+    with pytest.raises(DegenerateInputError):
+        Net.of(many + [(0.0, 1.0), (-0.0, 1.0)])
 
 
 @pytest.mark.parametrize(
@@ -142,6 +160,9 @@ def test_net_rejects_signed_zero_twins():
         ([(0.0, 1.0), (2.0,)], DimensionError),
         ([(), ()], DimensionError),
         ([1.0, 2.0], DimensionError),
+        (np.array([[0.0, 1.0], [2.0, math.nan]]), DomainError),
+        ([(float(i), 0.0) for i in range(20)] + [(math.nan, 0.0)], DomainError),
+        (np.vstack([np.zeros((1, 2)), np.full((19, 2), math.inf)]), DomainError),
     ],
 )
 def test_net_rejects_bad_input(rows, error):
@@ -153,6 +174,13 @@ def test_net_equal_nets_hash_equal():
     a = Net.of([(0.0, 1.0), (2.0, 3.0)])
     b = Net.of(np.array([[2, 3], [-0.0, 1]]))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # Integer input, small and large, is stored as floats.
+    for ints in (Net.of([(2, 3), (0, 1)]), Net.of(np.array([[2, 3], [0, 1]]))):
+        assert ints == a and hash(ints) == hash(a) and ints.array.dtype == np.float64
+        assert ints.coord_list() == [(0.0, 1.0), (2.0, 3.0)]
+        assert all(type(x) is float for row in ints.rows for x in row)
+    large = Net.of(np.arange(40).reshape(20, 2)[::-1])
+    assert large.array.dtype == np.float64 and large.coord_list()[0] == (0.0, 1.0)
     assert a != Net.of([(0.0, 1.0)]) and a != Net.of([(0.0, 1.0, 0.0), (2.0, 3.0, 0.0)])
 
 

@@ -201,6 +201,6 @@ def test_batch_screen_is_bounded_in_support_subsets(monkeypatch):
     expected, sample = worst_of(sample_pair(Net.of(a), Net.of(b)) for a, b in pairs)
     assert sup == expected
     assert worst.ratio == sample.ratio and worst.alpha_ab == sample.alpha_ab
-    # a net just above the bound (12 points in the plane: 286 subsets) is not enumerated either
+    # a net above the bound (12 points in the plane: 286 subsets) is not enumerated either
     centers, radii = chebyshev.cheb_batch(np.zeros((3, 12, 2)))
     assert np.isnan(centers).all() and np.isinf(radii).all()
